@@ -1483,14 +1483,25 @@ B,60
 
     #[test]
     fn profile_run_captures_the_pipeline_span() {
-        let args = ProfileArgs {
-            table: "t".into(),
-            references: vec!["pop".into()],
-            hz: 4000,
-            rounds: 40,
-            ..ProfileArgs::default()
+        // 40 tiny rounds can finish before the sampler thread first
+        // checks its stop flag, leaving a window with no sweep at all.
+        // Retry with 4x the rounds each time (at most 40 * 4^5), so the
+        // measured window grows until the sampler has provably run.
+        let mut rounds = 40;
+        let out = loop {
+            let args = ProfileArgs {
+                table: "t".into(),
+                references: vec!["pop".into()],
+                hz: 4000,
+                rounds,
+                ..ProfileArgs::default()
+            };
+            let out = run_profile(STEAM, &[("pop".into(), POP.into())], &args).unwrap();
+            if out.sweeps > 0 || rounds >= 40 * 4usize.pow(5) {
+                break out;
+            }
+            rounds *= 4;
         };
-        let out = run_profile(STEAM, &[("pop".into(), POP.into())], &args).unwrap();
         // The tiny fixture may finish between samples, but sweeps must
         // have happened and any captured stack must mention `pipeline`.
         assert!(out.sweeps > 0);

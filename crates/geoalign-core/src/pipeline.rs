@@ -13,6 +13,7 @@
 use crate::align::GeoAlign;
 use crate::error::CoreError;
 use crate::reference::ReferenceData;
+use crate::store::{fingerprint_fold, fingerprint_start};
 use geoalign_partition::{AggregateTable, AggregateVector, UnitIndex};
 use std::collections::HashMap;
 
@@ -87,12 +88,55 @@ fn push_csv_field(out: &mut String, field: &str) {
     }
 }
 
+/// The references registered for one `(source, target)` pair, with the
+/// pair's memoized content fingerprint.
+#[derive(Debug, Default)]
+struct PairReferences {
+    refs: Vec<ReferenceData>,
+    /// FNV prefix states of [`crate::fingerprint_references`]:
+    /// `states[i]` is the hash state before reference `i`, and
+    /// `states[refs.len()]` is the fingerprint of the whole set.
+    states: Vec<u64>,
+}
+
+impl PairReferences {
+    /// Appends a reference. The reference count is hashed first, so every
+    /// prefix state changes and the whole set is re-hashed.
+    fn push(&mut self, reference: ReferenceData) {
+        self.refs.push(reference);
+        self.states.clear();
+        self.states.push(fingerprint_start(self.refs.len()));
+        self.rehash_from(0);
+    }
+
+    /// Swaps the reference at `position` in place; the states before it
+    /// stay valid, so hashing resumes from `states[position]`.
+    fn replace(&mut self, position: usize, reference: ReferenceData) -> bool {
+        let Some(slot) = self.refs.get_mut(position) else {
+            return false;
+        };
+        *slot = reference;
+        self.rehash_from(position);
+        true
+    }
+
+    /// Recomputes `states[from + 1..]` from `states[from]`.
+    fn rehash_from(&mut self, from: usize) {
+        self.states.truncate(from + 1);
+        let mut h = self.states[from];
+        for r in &self.refs[from..] {
+            h = fingerprint_fold(h, r);
+            self.states.push(h);
+        }
+    }
+}
+
 /// The automatic integration pipeline. See the module docs.
 #[derive(Debug, Default)]
 pub struct IntegrationPipeline {
     systems: HashMap<String, SystemEntry>,
     /// References keyed by `(source system, target system)`.
-    references: HashMap<(String, String), Vec<ReferenceData>>,
+    references: HashMap<(String, String), PairReferences>,
     aligner: GeoAlign,
 }
 
@@ -133,22 +177,7 @@ impl IntegrationPipeline {
         target: &str,
         reference: ReferenceData,
     ) -> Result<(), CoreError> {
-        let s = self.system(source)?;
-        let t = self.system(target)?;
-        if reference.n_source() != s.index.len() {
-            return Err(CoreError::SourceMismatch {
-                objective: s.index.len(),
-                reference: reference.n_source(),
-                name: reference.name().to_owned(),
-            });
-        }
-        if reference.n_target() != t.index.len() {
-            return Err(CoreError::TargetMismatch {
-                left: t.index.len(),
-                right: reference.n_target(),
-                name: reference.name().to_owned(),
-            });
-        }
+        self.check_dimensions(source, target, &reference)?;
         self.references
             .entry((source.to_owned(), target.to_owned()))
             .or_default()
@@ -161,13 +190,35 @@ impl IntegrationPipeline {
     /// new batch in, re-finalizes, and swaps its reference in place while
     /// every other registration keeps its position (and hence its design-
     /// matrix column). Dimensions are validated like
-    /// [`IntegrationPipeline::register_reference`].
+    /// [`IntegrationPipeline::register_reference`]. Only references from
+    /// `position` on are re-hashed into the pair's fingerprint.
     pub fn replace_reference(
         &mut self,
         source: &str,
         target: &str,
         position: usize,
         reference: ReferenceData,
+    ) -> Result<(), CoreError> {
+        self.check_dimensions(source, target, &reference)?;
+        let key = (source.to_owned(), target.to_owned());
+        let replaced = self
+            .references
+            .get_mut(&key)
+            .is_some_and(|pair| pair.replace(position, reference));
+        if !replaced {
+            return Err(CoreError::UnknownReference {
+                name: format!("{source} -> {target} reference #{position}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks `reference` against the registered sizes of both systems.
+    fn check_dimensions(
+        &self,
+        source: &str,
+        target: &str,
+        reference: &ReferenceData,
     ) -> Result<(), CoreError> {
         let s = self.system(source)?;
         let t = self.system(target)?;
@@ -185,21 +236,19 @@ impl IntegrationPipeline {
                 name: reference.name().to_owned(),
             });
         }
-        let key = (source.to_owned(), target.to_owned());
-        let slot = self
-            .references
-            .get_mut(&key)
-            .and_then(|refs| refs.get_mut(position))
-            .ok_or_else(|| CoreError::UnknownReference {
-                name: format!("{source} -> {target} reference #{position}"),
-            })?;
-        *slot = reference;
         Ok(())
     }
 
     /// The registered unit identifiers of `system`.
     pub fn unit_ids(&self, system: &str) -> Result<&[String], CoreError> {
         Ok(self.system(system)?.index.ids())
+    }
+
+    /// The unit index of `system`: identifier → position in
+    /// [`IntegrationPipeline::unit_ids`], where a duplicated identifier
+    /// resolves to its first occurrence.
+    pub fn unit_index(&self, system: &str) -> Result<&UnitIndex, CoreError> {
+        Ok(&self.system(system)?.index)
     }
 
     /// Number of references registered for the `(source, target)` pair.
@@ -212,7 +261,19 @@ impl IntegrationPipeline {
     pub fn references(&self, source: &str, target: &str) -> &[ReferenceData] {
         self.references
             .get(&(source.to_owned(), target.to_owned()))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], |pair| pair.refs.as_slice())
+    }
+
+    /// The content fingerprint of the references registered for the
+    /// `(source, target)` pair. It always equals
+    /// [`crate::fingerprint_references`] over
+    /// [`IntegrationPipeline::references`], but is memoized: registration
+    /// and replacement recompute it, a read never does.
+    pub fn fingerprint(&self, source: &str, target: &str) -> u64 {
+        self.references
+            .get(&(source.to_owned(), target.to_owned()))
+            .and_then(|pair| pair.states.last().copied())
+            .unwrap_or_else(|| fingerprint_start(0))
     }
 
     /// Whether a unit system is registered under `name`.
@@ -299,13 +360,13 @@ impl IntegrationPipeline {
             });
         }
         let key = (system_name.to_owned(), target_system.to_owned());
-        let refs = self
+        let pair = self
             .references
             .get(&key)
             .ok_or_else(|| CoreError::UnknownReference {
                 name: format!("crosswalk {system_name} -> {target_system}"),
             })?;
-        let ref_slices: Vec<&ReferenceData> = refs.iter().collect();
+        let ref_slices: Vec<&ReferenceData> = pair.refs.iter().collect();
         let result = self.aligner.estimate(&vector, &ref_slices)?;
         Ok(AlignedColumn {
             attribute: table.attribute.clone(),

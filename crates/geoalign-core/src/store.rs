@@ -58,30 +58,45 @@ impl CrosswalkKey {
 /// entry (as exact f64 bit patterns). Order-sensitive — the same
 /// references supplied in a different order learn weights in a different
 /// order and are deliberately treated as a different crosswalk.
+///
+/// The value is part of every durable `prep/<fingerprint>/…` key, so it
+/// must never change. [`crate::IntegrationPipeline::fingerprint`]
+/// memoizes it per pair through the same two helpers.
 pub fn fingerprint_references(refs: &[&ReferenceData]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
+    refs.iter()
+        .fold(fingerprint_start(refs.len()), |h, r| fingerprint_fold(h, r))
+}
+
+/// FNV-1a of `bytes`, continuing from state `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(refs.len() as u64).to_le_bytes());
-    for r in refs {
-        eat(r.name().as_bytes());
-        eat(&[0xff]); // name terminator so "ab"+"c" != "a"+"bc"
-        eat(&(r.n_source() as u64).to_le_bytes());
-        eat(&(r.n_target() as u64).to_le_bytes());
-        for v in r.source().values() {
-            eat(&v.to_bits().to_le_bytes());
-        }
-        for (i, j, v) in r.dm().matrix().iter() {
-            eat(&(i as u64).to_le_bytes());
-            eat(&(j as u64).to_le_bytes());
-            eat(&v.to_bits().to_le_bytes());
-        }
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The fingerprint state before the first of `count` references: the
+/// reference count is hashed first.
+pub(crate) fn fingerprint_start(count: usize) -> u64 {
+    const OFFSET: u64 = 0xcbf29ce484222325;
+    fnv1a(OFFSET, &(count as u64).to_le_bytes())
+}
+
+/// Folds one reference into fingerprint state `h`.
+pub(crate) fn fingerprint_fold(mut h: u64, r: &ReferenceData) -> u64 {
+    h = fnv1a(h, r.name().as_bytes());
+    h = fnv1a(h, &[0xff]); // name terminator so "ab"+"c" != "a"+"bc"
+    h = fnv1a(h, &(r.n_source() as u64).to_le_bytes());
+    h = fnv1a(h, &(r.n_target() as u64).to_le_bytes());
+    for v in r.source().values() {
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
+    }
+    for (i, j, v) in r.dm().matrix().iter() {
+        h = fnv1a(h, &(i as u64).to_le_bytes());
+        h = fnv1a(h, &(j as u64).to_le_bytes());
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
     }
     h
 }
@@ -444,6 +459,18 @@ mod tests {
             fingerprint_references(&[&a, &c]),
             fingerprint_references(&[&c, &a])
         );
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Durable `prep/<fingerprint>/…` keys embed these values: a data
+        // dir written by an earlier build must keep hitting after an
+        // upgrade, so any change here is a format break, not a refactor.
+        let a = make_ref("pop", 1.0);
+        let c = make_ref("jobs", 2.5);
+        assert_eq!(fingerprint_references(&[]), 0xa8c7f832281a39c5);
+        assert_eq!(fingerprint_references(&[&a]), 0x4491966ffa802f78);
+        assert_eq!(fingerprint_references(&[&a, &c]), 0xa0533206de985157);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::store::{AppState, IngestOutcome};
 use geoalign_agg::AggState;
 use geoalign_core::{CoreError, ReferenceData};
 use geoalign_obs::{expo, Registry};
-use geoalign_partition::{AggregateVector, DisaggregationMatrix};
+use geoalign_partition::{AggregateVector, DisaggregationMatrix, UnitIndex};
 
 /// `Content-Type` of the Prometheus text exposition format.
 const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
@@ -200,16 +200,10 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
     let entries = array_field(&doc, "entries")?;
 
     let mut pipeline = state.pipeline_mut();
-    let source_ids = pipeline
-        .unit_ids(source)
-        .map_err(|e| core_error(&e))?
-        .to_vec();
-    let target_ids = pipeline
-        .unit_ids(target)
-        .map_err(|e| core_error(&e))?
-        .to_vec();
-    let find = |ids: &[String], id: &str, system: &str| -> Result<usize, HttpError> {
-        ids.iter().position(|u| u == id).ok_or_else(|| {
+    let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+    let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
+    let find = |index: &UnitIndex, id: &str, system: &str| -> Result<usize, HttpError> {
+        index.get(id).ok_or_else(|| {
             HttpError::bad_request(format!("unknown unit '{id}' in system '{system}'"))
         })
     };
@@ -230,14 +224,15 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
             .as_f64()
             .ok_or_else(|| HttpError::bad_request("entry value must be a number"))?;
         triples.push((
-            find(&source_ids, s, source)?,
-            find(&target_ids, t, target)?,
+            find(source_index, s, source)?,
+            find(target_index, t, target)?,
             v,
         ));
     }
 
-    let dm = DisaggregationMatrix::from_triples(name, source_ids.len(), target_ids.len(), triples)
-        .map_err(|e| HttpError::bad_request(e.to_string()))?;
+    let dm =
+        DisaggregationMatrix::from_triples(name, source_index.len(), target_index.len(), triples)
+            .map_err(|e| HttpError::bad_request(e.to_string()))?;
     let nnz = dm.nnz();
     let reference = ReferenceData::from_dm(name, dm).map_err(|e| core_error(&e))?;
     // Register before persisting: a record the registry rejected must
@@ -327,19 +322,11 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
         return Err(HttpError::bad_request("'points' must not be empty"));
     }
 
-    let (source_ids, target_ids) = {
-        let pipeline = state.pipeline();
-        (
-            pipeline
-                .unit_ids(source)
-                .map_err(|e| core_error(&e))?
-                .to_vec(),
-            pipeline
-                .unit_ids(target)
-                .map_err(|e| core_error(&e))?
-                .to_vec(),
-        )
-    };
+    // Held while resolving, so every point sees the same registration of
+    // each system.
+    let pipeline = state.pipeline();
+    let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+    let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
 
     let mut points = Vec::with_capacity(entries.len());
     let mut unknown = 0u64;
@@ -362,10 +349,7 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
                 "point weight {w} must be finite and non-negative"
             )));
         }
-        match (
-            source_ids.iter().position(|u| u == s),
-            target_ids.iter().position(|u| u == t),
-        ) {
+        match (source_index.get(s), target_index.get(t)) {
             (Some(si), Some(ti)) => points.push((si, ti, w)),
             _ => unknown += 1,
         }
@@ -1102,6 +1086,82 @@ mod tests {
         );
         assert_eq!(r.status, 400);
         assert!(String::from_utf8_lossy(&r.body).contains("z9"));
+    }
+
+    #[test]
+    fn duplicate_unit_ids_resolve_to_their_first_occurrence() {
+        // A system listing `z1` twice: names resolve to the first
+        // occurrence, exactly as a linear scan of the ids would, and the
+        // error and skip accounting stay byte for byte what they were.
+        let state = AppState::new(8);
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/systems",
+                r#"{"name":"zip","units":["z1","z2","z1"]}"#,
+            ),
+        );
+        assert_eq!(r.body, br#"{"registered":"zip","units":3}"#);
+        let r = route(
+            &state,
+            &request("POST", "/systems", r#"{"name":"county","units":["A","B"]}"#),
+        );
+        assert_eq!(r.status, 200);
+
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/references",
+                r#"{"source":"zip","target":"county","name":"pop",
+                   "entries":[["z1","A",100],["z2","B",40],["z1","B",60]]}"#,
+            ),
+        );
+        assert_eq!(
+            r.body,
+            br#"{"registered":"pop","pair":"zip->county","nnz":3,"references_for_pair":1}"#
+        );
+        {
+            let pipeline = state.pipeline();
+            let pop = &pipeline.references("zip", "county")[0];
+            assert_eq!(pop.n_source(), 2, "the duplicate collapses");
+            assert_eq!(pop.source().values(), &[160.0, 40.0]);
+        }
+        for (entries, message) in [
+            (
+                r#"[["z1","A",1],["z3","A",1]]"#,
+                r#"{"error":"unknown unit 'z3' in system 'zip'"}"#,
+            ),
+            (
+                r#"[["z1","C",1]]"#,
+                r#"{"error":"unknown unit 'C' in system 'county'"}"#,
+            ),
+        ] {
+            let body =
+                format!(r#"{{"source":"zip","target":"county","name":"bad","entries":{entries}}}"#);
+            let r = route(&state, &request("POST", "/references", &body));
+            assert_eq!(r.status, 400);
+            assert_eq!(String::from_utf8_lossy(&r.body), message);
+        }
+
+        let r = route(
+            &state,
+            &request(
+                "POST",
+                "/ingest",
+                r#"{"source":"zip","target":"county","attribute":"visits",
+                   "points":[["z1","A",2],["z3","A",5],["z1","B",1],["z2","Q",1],["z2","B",4]]}"#,
+            ),
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&r.body),
+            r#"{"ingested":"visits","pair":"zip->county","absorbed":3,"skipped":2,"total_points":3,"total_skipped":2,"references_for_pair":2,"incremental":false,"touched_rows":0}"#
+        );
+        let pipeline = state.pipeline();
+        let visits = &pipeline.references("zip", "county")[1];
+        assert_eq!(visits.name(), "visits");
+        assert_eq!(visits.source().values(), &[3.0, 4.0]);
     }
 
     #[test]

@@ -525,10 +525,8 @@ impl AppState {
     ) -> Result<IngestOutcome, CoreError> {
         // The pair's cache key before the fold — the entry to refresh
         // incrementally and then invalidate.
-        let old_key = {
-            let refs: Vec<&ReferenceData> = pipeline.references(source, target).iter().collect();
-            (!refs.is_empty()).then(|| CrosswalkKey::new(source, target, &refs))
-        };
+        let old_key = (pipeline.reference_count(source, target) > 0)
+            .then(|| pair_key(pipeline, source, target));
         let absorbed = batch.count();
         let unknown = batch.skipped();
 
@@ -581,10 +579,10 @@ impl AppState {
         if let Some(old) = &old_key {
             if let Some(prepared) = self.cache.get(old) {
                 let (updated, touched) = prepared.with_reference_updated(position, reference)?;
-                let refs: Vec<&ReferenceData> =
-                    pipeline.references(source, target).iter().collect();
-                let new_key = CrosswalkKey::new(source, target, &refs);
-                self.cache.insert(new_key, Arc::new(updated));
+                // The registration above already refreshed the pipeline's
+                // fingerprint memo, so the new key costs no extra pass.
+                self.cache
+                    .insert(pair_key(pipeline, source, target), Arc::new(updated));
                 touched_rows = touched;
                 incremental = true;
             }
@@ -648,30 +646,42 @@ impl AppState {
     /// The prepared crosswalk for `source → target` over the references
     /// currently registered for that pair — cached by content
     /// fingerprint, so re-registered references can never serve a stale
-    /// snapshot. Returns the snapshot and whether it was a cache hit;
-    /// cache misses feed the prepare-latency histogram.
+    /// snapshot. The fingerprint is the pipeline's memo, so a hit costs
+    /// no pass over the references. Returns the snapshot and whether it
+    /// was a cache hit; cache misses feed the prepare-latency histogram.
     pub fn prepared_crosswalk(
         &self,
         source: &str,
         target: &str,
     ) -> Result<(Arc<PreparedCrosswalk>, bool), CoreError> {
         let pipeline = self.pipeline();
-        let refs: Vec<&ReferenceData> = pipeline.references(source, target).iter().collect();
+        let refs = pipeline.references(source, target);
         if refs.is_empty() {
             return Err(CoreError::UnknownReference {
                 name: format!("crosswalk {source} -> {target}"),
             });
         }
-        let key = CrosswalkKey::new(source, target, &refs);
+        let key = pair_key(&pipeline, source, target);
         let aligner = *pipeline.aligner();
         let t0 = Instant::now();
-        let (prepared, hit) = self
-            .cache
-            .get_or_insert_with(&key, || aligner.prepare(&refs))?;
+        let (prepared, hit) = self.cache.get_or_insert_with(&key, || {
+            let refs: Vec<&ReferenceData> = refs.iter().collect();
+            aligner.prepare(&refs)
+        })?;
         if !hit {
             self.metrics.prepare_latency.record(t0.elapsed());
         }
         Ok((prepared, hit))
+    }
+}
+
+/// The cache key of the references registered for `source → target`,
+/// from the pipeline's memoized fingerprint.
+fn pair_key(pipeline: &IntegrationPipeline, source: &str, target: &str) -> CrosswalkKey {
+    CrosswalkKey {
+        source: source.to_owned(),
+        target: target.to_owned(),
+        fingerprint: pipeline.fingerprint(source, target),
     }
 }
 
@@ -730,6 +740,39 @@ mod tests {
         let (prepared, hit) = state.prepared_crosswalk("zip", "county").unwrap();
         assert!(!hit, "new reference set must not reuse the old snapshot");
         assert_eq!(prepared.references().len(), 2);
+    }
+
+    #[test]
+    fn incremental_fold_refreshes_the_entry_the_next_lookup_hits() {
+        let state = populated();
+        let (_, hit) = state.prepared_crosswalk("zip", "county").unwrap();
+        assert!(!hit);
+        // The first batch appends the streaming reference, the second
+        // replaces it in place; both refresh the cached entry.
+        for (batch, points) in [[(0, 1, 2.0), (1, 0, 1.5)], [(1, 1, 4.0), (0, 1, 0.5)]]
+            .iter()
+            .enumerate()
+        {
+            let outcome = state.ingest("zip", "county", "visits", points, 0).unwrap();
+            assert!(outcome.incremental, "batch {batch} found the cached entry");
+            let (prepared, hit) = state.prepared_crosswalk("zip", "county").unwrap();
+            assert!(
+                hit,
+                "batch {batch}: the refreshed entry serves the next lookup"
+            );
+            assert_eq!(prepared.references().len(), 2);
+            assert_eq!(state.cache.stats().entries, 1, "the stale entry is gone");
+            assert_eq!(
+                state.metrics.prepare_latency.count(),
+                1,
+                "never re-prepared"
+            );
+            // The refreshed entry sits under the full-pass key.
+            let pipeline = state.pipeline();
+            let refs: Vec<&ReferenceData> = pipeline.references("zip", "county").iter().collect();
+            let key = CrosswalkKey::new("zip", "county", &refs);
+            assert!(Arc::ptr_eq(&state.cache.get(&key).unwrap(), &prepared));
+        }
     }
 
     #[test]

@@ -80,6 +80,33 @@ if matches=$(grep -rnE '\b(read_line|read_to_end|read_to_string)\b' \
     exit 1
 fi
 
+echo "==> warm serve requests cost O(request): no full-set fingerprints or unit scans"
+# The serve paths key the prepared-crosswalk cache from the pipeline's
+# memoized fingerprint and resolve unit names through each system's
+# hashed UnitIndex (DESIGN.md §7). A fingerprint_references( or
+# CrosswalkKey::new( call in serve src/ re-hashes every reference of the
+# pair per request; a .position( in router.rs brings back the linear
+# unit-name scan. In-file test modules are skipped.
+o_request=""
+for f in $(find crates/geoalign-serve/src -name '*.rs' | sort); do
+    limit=$({ grep -nE '^(mod tests|#\[cfg\(test\)\])' "$f" || true; } | head -1 | cut -d: -f1)
+    [ -z "$limit" ] && limit=0
+    pattern='fingerprint_references\(|CrosswalkKey::new\('
+    [ "$(basename "$f")" = router.rs ] && pattern="$pattern|\\.position\\("
+    found=$(awk -v limit="$limit" -v file="$f" -v pat="$pattern" \
+        '(limit == 0 || NR < limit) && $0 ~ pat && $0 !~ /^[[:space:]]*\/\// \
+         { print file ":" NR ": " $0 }' "$f")
+    if [ -n "$found" ]; then
+        o_request="${o_request}${found}"$'\n'
+    fi
+done
+if [ -n "$o_request" ]; then
+    echo "error: per-request full fingerprint or unit-name scan in geoalign-serve — use" >&2
+    echo "the memo (IntegrationPipeline::fingerprint) and UnitIndex::get:" >&2
+    echo "$o_request" >&2
+    exit 1
+fi
+
 echo "==> metric naming: geoalign_<crate>_<name>_<unit>"
 # Every registered metric name is a literal "geoalign_..." string in a
 # src/ file; hold them all to the §8 convention so a scrape stays
