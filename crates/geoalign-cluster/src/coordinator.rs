@@ -274,10 +274,13 @@ impl Coordinator {
         self.proxy(owner, req)
     }
 
+    /// Reads the pair through the typed `/crosswalk` decoder, which
+    /// accepts exactly the documents the tree parser does, so the shard
+    /// it picks is the one a tree would name.
     fn owner_of(&self, req: &Request) -> Option<usize> {
-        let doc = json::parse(req.body_text().ok()?).ok()?;
-        let source = doc.get("source")?.as_str()?;
-        let target = doc.get("target")?.as_str()?;
+        let body = json::parse_crosswalk(req.body_text().ok()?).ok()?;
+        let source = body.other.get("source")?.as_str()?;
+        let target = body.other.get("target")?.as_str()?;
         Some(self.ring.shard_for(source, target))
     }
 
@@ -724,6 +727,73 @@ mod tests {
         coordinator.install(&state);
         let front = Server::bind_with_state("127.0.0.1:0", ServerConfig::default(), state).unwrap();
         (coordinator, front)
+    }
+
+    #[test]
+    fn crosswalk_owner_is_the_one_a_tree_parse_names() {
+        // owner_of reads only the body, so the shards are never dialled.
+        let shards = (0..4)
+            .map(|i| ShardSpec {
+                name: format!("shard-{i}"),
+                primary: "127.0.0.1:9".to_owned(),
+                standby: None,
+            })
+            .collect();
+        let coordinator = Coordinator::new(CoordinatorConfig::new(shards)).unwrap();
+        let tree_owner = |body: &[u8]| {
+            let doc = json::parse(std::str::from_utf8(body).ok()?).ok()?;
+            let source = doc.get("source")?.as_str()?;
+            let target = doc.get("target")?.as_str()?;
+            Some(coordinator.ring.shard_for(source, target))
+        };
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let mut bodies: Vec<String> = [
+            r#"{"source":"S","target":"T","attributes":[{"name":"a","values":[1,2]}]}"#,
+            r#"{"target":"T","source":"S","attributes":[{"values":[1,"x"]}]}"#,
+            r#"{"source":"S","source":"other","target":"T","attributes":7}"#,
+            r#"{"source":"Sé","target":"T世界"}"#,
+            r#"{"source":"S","target":1}"#,
+            r#"{"source":"S","target":"T"} trailing"#,
+            r#"{"source":"S","target":"T","attributes":[{"values":[1,}]}"#,
+            r#"[{"source":"S","target":"T"}]"#,
+            "",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        for n in [json::MAX_DEPTH - 4, json::MAX_DEPTH - 3] {
+            bodies.push(format!(
+                r#"{{"source":"S","target":"T","attributes":[{{"values":[{}]}}]}}"#,
+                deep(n)
+            ));
+        }
+        let mut owners = std::collections::BTreeSet::new();
+        for pair in 0..8 {
+            for body in &bodies {
+                let body = body
+                    .replace('S', &format!("src{pair}"))
+                    .replace('T', &format!("tgt{pair}"));
+                for bytes in [
+                    body.clone().into_bytes(),
+                    [body.as_bytes(), b"\xff"].concat(),
+                ] {
+                    let req = Request {
+                        method: "POST".to_owned(),
+                        path: "/crosswalk".to_owned(),
+                        query: String::new(),
+                        version: "HTTP/1.1".to_owned(),
+                        headers: Vec::new(),
+                        body: bytes.clone(),
+                    };
+                    let owner = coordinator.owner_of(&req);
+                    assert_eq!(owner, tree_owner(&bytes), "{body}");
+                    owners.insert(owner);
+                }
+            }
+        }
+        assert!(
+            owners.len() > 2,
+            "the pairs should spread over shards: {owners:?}"
+        );
     }
 
     fn client_for(server: &Server) -> Backend {

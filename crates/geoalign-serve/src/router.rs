@@ -31,7 +31,7 @@
 //! without the flag the whole `/debug` prefix 404s like any unknown path.
 
 use crate::http::{HttpError, Request, Response};
-use crate::json::{self, Json};
+use crate::json::{self, Bulk, Fields, Json, Triple};
 use crate::store::{AppState, IngestOutcome};
 use geoalign_agg::AggState;
 use geoalign_core::{CoreError, ReferenceData};
@@ -121,15 +121,25 @@ fn method_not_allowed(method: &str, allow: &'static str) -> Response {
     resp
 }
 
-/// Parses the JSON body; a depth-limit rejection (stack-overflow guard)
-/// is counted separately from plain syntax errors.
-fn parse_body(state: &AppState, req: &Request) -> Result<Json, HttpError> {
-    json::parse(req.body_text()?).map_err(|e| {
+/// Decodes the body with `decode`, the tree parser or one of the typed
+/// decoders; a depth-limit rejection (stack-overflow guard) is counted
+/// separately from plain syntax errors.
+fn decode_body<'a, T>(
+    state: &AppState,
+    req: &'a Request,
+    decode: impl FnOnce(&'a str) -> Result<T, json::JsonError>,
+) -> Result<T, HttpError> {
+    decode(req.body_text()?).map_err(|e| {
         if e.kind == json::JsonErrorKind::TooDeep {
             state.metrics.depth_limit_rejections.inc();
         }
         HttpError::bad_request(e.to_string())
     })
+}
+
+/// Parses the JSON body into a tree.
+fn parse_body(state: &AppState, req: &Request) -> Result<Json, HttpError> {
+    decode_body(state, req, json::parse)
 }
 
 fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, HttpError> {
@@ -138,10 +148,85 @@ fn str_field<'a>(doc: &'a Json, key: &str) -> Result<&'a str, HttpError> {
         .ok_or_else(|| HttpError::bad_request(format!("missing string field '{key}'")))
 }
 
+fn missing_array(key: &str) -> HttpError {
+    HttpError::bad_request(format!("missing array field '{key}'"))
+}
+
 fn array_field<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], HttpError> {
     doc.get(key)
         .and_then(Json::as_array)
-        .ok_or_else(|| HttpError::bad_request(format!("missing array field '{key}'")))
+        .ok_or_else(|| missing_array(key))
+}
+
+/// The elements of a bulk array field: typed, or the tree of an array
+/// that holds an element of another shape.
+enum Elements<'b, T> {
+    Typed(&'b [T]),
+    Tree(&'b [Json]),
+}
+
+/// The elements of the bulk field `key`, or [`array_field`]'s error when
+/// it is missing or not an array.
+fn bulk_field<'b, T>(bulk: &'b Option<Bulk<T>>, key: &str) -> Result<Elements<'b, T>, HttpError> {
+    match bulk {
+        Some(Bulk::Typed(items)) => Ok(Elements::Typed(items)),
+        Some(Bulk::Tree(Json::Array(items))) => Ok(Elements::Tree(items)),
+        _ => Err(missing_array(key)),
+    }
+}
+
+/// How `/ingest` and `/references` name the parts of a triple in their
+/// messages: the element, then its number.
+const POINT: (&str, &str) = ("point", "weight");
+const ENTRY: (&str, &str) = ("entry", "value");
+
+impl<'b> Elements<'b, Triple<'_>> {
+    fn len(&self) -> usize {
+        match self {
+            Elements::Typed(items) => items.len(),
+            Elements::Tree(items) => items.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The elements as `(source, target, number)`, in order. A tree
+    /// element of another shape yields the error the tree handlers gave
+    /// it, so the first bad element still stops the walk where it did.
+    fn triples(
+        &self,
+        (element, number): (&'static str, &'static str),
+    ) -> impl Iterator<Item = Result<(&'b str, &'b str, f64), HttpError>> + '_ {
+        (0..self.len()).map(move |i| match self {
+            Elements::Typed(items) => {
+                let (source, target, value) = &items[i];
+                Ok((&**source, &**target, *value))
+            }
+            Elements::Tree(items) => {
+                let fields = items[i]
+                    .as_array()
+                    .filter(|f| f.len() == 3)
+                    .ok_or_else(|| {
+                        HttpError::bad_request(format!(
+                            "each {element} must be [source, target, {number}]"
+                        ))
+                    })?;
+                let unit = |field: &'b Json, role: &str| {
+                    field.as_str().ok_or_else(|| {
+                        HttpError::bad_request(format!("{element} {role} unit must be a string"))
+                    })
+                };
+                let source = unit(&fields[0], "source")?;
+                let target = unit(&fields[1], "target")?;
+                let value = fields[2].as_f64().ok_or_else(|| {
+                    HttpError::bad_request(format!("{element} {number} must be a number"))
+                })?;
+                Ok((source, target, value))
+            }
+        })
+    }
 }
 
 fn core_error(e: &CoreError) -> HttpError {
@@ -193,11 +278,11 @@ fn post_systems(state: &AppState, req: &Request) -> Result<Response, HttpError> 
 ///   "entries": [["z1", "A", 100.0], ...]}`
 /// where each entry is `[source unit id, target unit id, value]`.
 fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let source = str_field(&doc, "source")?;
-    let target = str_field(&doc, "target")?;
-    let name = str_field(&doc, "name")?;
-    let entries = array_field(&doc, "entries")?;
+    let body = decode_body(state, req, |text| json::parse_triples(text, "entries"))?;
+    let source = str_field(&body.other, "source")?;
+    let target = str_field(&body.other, "target")?;
+    let name = str_field(&body.other, "name")?;
+    let entries = bulk_field(&body.bulk, "entries")?;
 
     let mut pipeline = state.pipeline_mut();
     let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
@@ -209,20 +294,8 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
     };
 
     let mut triples = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let fields = entry
-            .as_array()
-            .filter(|f| f.len() == 3)
-            .ok_or_else(|| HttpError::bad_request("each entry must be [source, target, value]"))?;
-        let s = fields[0]
-            .as_str()
-            .ok_or_else(|| HttpError::bad_request("entry source unit must be a string"))?;
-        let t = fields[1]
-            .as_str()
-            .ok_or_else(|| HttpError::bad_request("entry target unit must be a string"))?;
-        let v = fields[2]
-            .as_f64()
-            .ok_or_else(|| HttpError::bad_request("entry value must be a number"))?;
+    for entry in entries.triples(ENTRY) {
+        let (s, t, v) = entry?;
         triples.push((
             find(source_index, s, source)?,
             find(target_index, t, target)?,
@@ -276,8 +349,8 @@ fn post_references(state: &AppState, req: &Request) -> Result<Response, HttpErro
 /// weights reject the whole batch up front, so a batch is folded
 /// all-or-nothing.
 fn post_ingest(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let batch = parse_ingest_batch(state, &doc)?;
+    let body = decode_body(state, req, |text| json::parse_triples(text, "points"))?;
+    let batch = parse_ingest_batch(state, &body)?;
     state
         .metrics
         .ingest_batch_points
@@ -310,14 +383,17 @@ struct IngestBatch<'a> {
     total: usize,
 }
 
-/// Parses and validates an `/ingest` (or `/ingest/partial`) body,
-/// resolving unit names to indices. Shared so a scattered sub-batch goes
-/// through exactly the validation one big batch would.
-fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch<'a>, HttpError> {
-    let source = str_field(doc, "source")?;
-    let target = str_field(doc, "target")?;
-    let attribute = str_field(doc, "attribute")?;
-    let entries = array_field(doc, "points")?;
+/// Validates a decoded `/ingest` (or `/ingest/partial`) body, resolving
+/// unit names to indices. Shared so a scattered sub-batch goes through
+/// exactly the validation one big batch would.
+fn parse_ingest_batch<'a>(
+    state: &AppState,
+    body: &'a Fields<Bulk<Triple<'_>>>,
+) -> Result<IngestBatch<'a>, HttpError> {
+    let source = str_field(&body.other, "source")?;
+    let target = str_field(&body.other, "target")?;
+    let attribute = str_field(&body.other, "attribute")?;
+    let entries = bulk_field(&body.bulk, "points")?;
     if entries.is_empty() {
         return Err(HttpError::bad_request("'points' must not be empty"));
     }
@@ -330,20 +406,8 @@ fn parse_ingest_batch<'a>(state: &AppState, doc: &'a Json) -> Result<IngestBatch
 
     let mut points = Vec::with_capacity(entries.len());
     let mut unknown = 0u64;
-    for entry in entries {
-        let fields = entry
-            .as_array()
-            .filter(|f| f.len() == 3)
-            .ok_or_else(|| HttpError::bad_request("each point must be [source, target, weight]"))?;
-        let s = fields[0]
-            .as_str()
-            .ok_or_else(|| HttpError::bad_request("point source unit must be a string"))?;
-        let t = fields[1]
-            .as_str()
-            .ok_or_else(|| HttpError::bad_request("point target unit must be a string"))?;
-        let w = fields[2]
-            .as_f64()
-            .ok_or_else(|| HttpError::bad_request("point weight must be a number"))?;
+    for point in entries.triples(POINT) {
+        let (s, t, w) = point?;
         if !w.is_finite() || w < 0.0 {
             return Err(HttpError::bad_request(format!(
                 "point weight {w} must be finite and non-negative"
@@ -399,8 +463,8 @@ fn ingest_response(
 /// merge with sibling partials. Nothing is mutated; any shard that knows
 /// the pair's unit systems computes the same bytes.
 fn post_ingest_partial(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let batch = parse_ingest_batch(state, &doc)?;
+    let body = decode_body(state, req, |text| json::parse_triples(text, "points"))?;
+    let batch = parse_ingest_batch(state, &body)?;
     state
         .metrics
         .ingest_batch_points
@@ -485,10 +549,13 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 /// One prepared crosswalk (cached across requests) is applied to every
 /// attribute in the batch.
 fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError> {
-    let doc = parse_body(state, req)?;
-    let source = str_field(&doc, "source")?;
-    let target = str_field(&doc, "target")?;
-    let attributes = array_field(&doc, "attributes")?;
+    let mut body = decode_body(state, req, json::parse_crosswalk)?;
+    let source = str_field(&body.other, "source")?;
+    let target = str_field(&body.other, "target")?;
+    // The decoder types every `attributes` array, so a tree is never one.
+    let Some(Bulk::Typed(attributes)) = &mut body.bulk else {
+        return Err(missing_array("attributes"));
+    };
     if attributes.is_empty() {
         return Err(HttpError::bad_request("'attributes' must not be empty"));
     }
@@ -496,27 +563,38 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
     let (prepared, cache_hit) = state
         .prepared_crosswalk(source, target)
         .map_err(|e| core_error(&e))?;
-    let target_units: Vec<Json> = {
+    // The response is written straight into the body buffer, starting
+    // with the target ids under the pipeline read lock.
+    let numbers = prepared.n_target() * (1 + attributes.len());
+    let mut out = String::with_capacity(64 + 20 * numbers);
+    out.push_str("{\"target_system\":");
+    json::write_string(&mut out, target);
+    out.push_str(",\"target_units\":");
+    {
         let pipeline = state.pipeline();
         let ids = pipeline.unit_ids(target).map_err(|e| core_error(&e))?;
-        ids.iter().map(|id| Json::from(id.clone())).collect()
-    };
+        json::write_array(&mut out, ids, |out, id| json::write_string(out, id));
+    }
+    out.push_str(",\"cache_hit\":");
+    out.push_str(if cache_hit { "true" } else { "false" });
 
     // Validate the whole batch up front, then hand it to the prepared
     // crosswalk in one `apply_batch` call so the executor can spread the
     // attributes over the process thread budget.
     let mut names = Vec::with_capacity(attributes.len());
     let mut vectors = Vec::with_capacity(attributes.len());
-    for attr in attributes {
-        let name = str_field(attr, "name")?;
-        let values: Vec<f64> = array_field(attr, "values")?
-            .iter()
-            .map(|v| {
-                v.as_f64().ok_or_else(|| {
-                    HttpError::bad_request(format!("attribute '{name}': values must be numbers"))
-                })
-            })
-            .collect::<Result<_, _>>()?;
+    for attr in attributes.iter_mut() {
+        let name = str_field(&attr.other, "name")?;
+        let values = match attr.bulk.take() {
+            Some(Bulk::Typed(values)) => values,
+            // A `values` array holding a non-number stays a tree.
+            Some(Bulk::Tree(Json::Array(_))) => {
+                return Err(HttpError::bad_request(format!(
+                    "attribute '{name}': values must be numbers"
+                )))
+            }
+            _ => return Err(missing_array("values")),
+        };
         if values.len() != prepared.n_source() {
             return Err(HttpError::bad_request(format!(
                 "attribute '{name}': {} values for {} source units",
@@ -531,32 +609,23 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
     }
 
     let applied_batch = prepared.apply_batch(&vectors).map_err(|e| core_error(&e))?;
-    let mut columns = Vec::with_capacity(attributes.len());
-    for (name, applied) in names.into_iter().zip(applied_batch) {
-        state.metrics.record_phases(&applied.timings);
-        columns.push(Json::object([
-            ("name", Json::from(name)),
-            (
-                "values",
-                Json::Array(applied.estimate.into_iter().map(Json::Number).collect()),
-            ),
-            (
-                "weights",
-                Json::Array(applied.weights.into_iter().map(Json::Number).collect()),
-            ),
-        ]));
-    }
-
-    Ok(Response::json(
-        Json::object([
-            ("target_system", Json::from(target)),
-            ("target_units", Json::Array(target_units)),
-            ("cache_hit", Json::Bool(cache_hit)),
-            ("columns", Json::Array(columns)),
-        ])
-        .to_string()
-        .into_bytes(),
-    ))
+    out.push_str(",\"columns\":");
+    json::write_array(
+        &mut out,
+        names.into_iter().zip(applied_batch),
+        |out, (name, applied)| {
+            state.metrics.record_phases(&applied.timings);
+            out.push_str("{\"name\":");
+            json::write_string(out, name);
+            out.push_str(",\"values\":");
+            json::write_array(out, &applied.estimate, |out, &v| json::write_number(out, v));
+            out.push_str(",\"weights\":");
+            json::write_array(out, &applied.weights, |out, &v| json::write_number(out, v));
+            out.push('}');
+        },
+    );
+    out.push('}');
+    Ok(Response::json(out))
 }
 
 /// `POST /checkpoint` — flushes the write-behind persister, snapshots the
@@ -949,6 +1018,7 @@ fn span_record_json(s: &geoalign_obs::SpanRecord) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::MAX_DEPTH;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
         Request {
@@ -958,6 +1028,286 @@ mod tests {
             version: "HTTP/1.1".to_owned(),
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// The tree-based handlers the typed ones replaced, kept as the
+    /// reference for `typed_handlers_answer_like_the_tree_handlers`: the
+    /// body parsed by `json::parse`, then checked element by element.
+    mod tree {
+        use super::super::*;
+
+        pub(super) fn post_references(
+            state: &AppState,
+            req: &Request,
+        ) -> Result<Response, HttpError> {
+            let doc = parse_body(state, req)?;
+            let source = str_field(&doc, "source")?;
+            let target = str_field(&doc, "target")?;
+            let name = str_field(&doc, "name")?;
+            let entries = array_field(&doc, "entries")?;
+
+            let mut pipeline = state.pipeline_mut();
+            let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+            let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
+            let find = |index: &UnitIndex, id: &str, system: &str| -> Result<usize, HttpError> {
+                index.get(id).ok_or_else(|| {
+                    HttpError::bad_request(format!("unknown unit '{id}' in system '{system}'"))
+                })
+            };
+
+            let mut triples = Vec::with_capacity(entries.len());
+            for entry in entries {
+                let fields = entry.as_array().filter(|f| f.len() == 3).ok_or_else(|| {
+                    HttpError::bad_request("each entry must be [source, target, value]")
+                })?;
+                let s = fields[0]
+                    .as_str()
+                    .ok_or_else(|| HttpError::bad_request("entry source unit must be a string"))?;
+                let t = fields[1]
+                    .as_str()
+                    .ok_or_else(|| HttpError::bad_request("entry target unit must be a string"))?;
+                let v = fields[2]
+                    .as_f64()
+                    .ok_or_else(|| HttpError::bad_request("entry value must be a number"))?;
+                triples.push((
+                    find(source_index, s, source)?,
+                    find(target_index, t, target)?,
+                    v,
+                ));
+            }
+
+            let dm = DisaggregationMatrix::from_triples(
+                name,
+                source_index.len(),
+                target_index.len(),
+                triples,
+            )
+            .map_err(|e| HttpError::bad_request(e.to_string()))?;
+            let nnz = dm.nnz();
+            let reference = ReferenceData::from_dm(name, dm).map_err(|e| core_error(&e))?;
+            // Register before persisting: a record the registry rejected must
+            // never reach the WAL, where it would fail replay at the next boot.
+            pipeline
+                .register_reference(source, target, reference.clone())
+                .map_err(|e| core_error(&e))?;
+            let count = pipeline.reference_count(source, target);
+            // Persist while still holding the pipeline write lock: the durable
+            // ref/<nnnnnnnn> index must be assigned in registration order, or a
+            // warm start would replay concurrent registrations in a different
+            // order than the cold pipeline saw them and break the byte-identical
+            // warm-start guarantee. Registration is rare; the fsync under the
+            // lock is acceptable.
+            state
+                .persist_reference(source, target, &reference)
+                .map_err(|e| core_error(&e))?;
+            drop(pipeline);
+            Ok(Response::json(
+                Json::object([
+                    ("registered", Json::from(name)),
+                    ("pair", Json::from(format!("{source}->{target}"))),
+                    ("nnz", Json::Number(nnz as f64)),
+                    ("references_for_pair", Json::Number(count as f64)),
+                ])
+                .to_string()
+                .into_bytes(),
+            ))
+        }
+        pub(super) fn post_ingest(state: &AppState, req: &Request) -> Result<Response, HttpError> {
+            let doc = parse_body(state, req)?;
+            let batch = parse_ingest_batch(state, &doc)?;
+            state
+                .metrics
+                .ingest_batch_points
+                .record_value(batch.total as u64);
+            let outcome = state
+                .ingest(
+                    batch.source,
+                    batch.target,
+                    batch.attribute,
+                    &batch.points,
+                    batch.unknown,
+                )
+                .map_err(|e| core_error(&e))?;
+            Ok(ingest_response(
+                batch.attribute,
+                batch.source,
+                batch.target,
+                &outcome,
+            ))
+        }
+        struct IngestBatch<'a> {
+            source: &'a str,
+            target: &'a str,
+            attribute: &'a str,
+            points: Vec<(usize, usize, f64)>,
+            unknown: u64,
+            total: usize,
+        }
+        fn parse_ingest_batch<'a>(
+            state: &AppState,
+            doc: &'a Json,
+        ) -> Result<IngestBatch<'a>, HttpError> {
+            let source = str_field(doc, "source")?;
+            let target = str_field(doc, "target")?;
+            let attribute = str_field(doc, "attribute")?;
+            let entries = array_field(doc, "points")?;
+            if entries.is_empty() {
+                return Err(HttpError::bad_request("'points' must not be empty"));
+            }
+
+            // Held while resolving, so every point sees the same registration of
+            // each system.
+            let pipeline = state.pipeline();
+            let source_index = pipeline.unit_index(source).map_err(|e| core_error(&e))?;
+            let target_index = pipeline.unit_index(target).map_err(|e| core_error(&e))?;
+
+            let mut points = Vec::with_capacity(entries.len());
+            let mut unknown = 0u64;
+            for entry in entries {
+                let fields = entry.as_array().filter(|f| f.len() == 3).ok_or_else(|| {
+                    HttpError::bad_request("each point must be [source, target, weight]")
+                })?;
+                let s = fields[0]
+                    .as_str()
+                    .ok_or_else(|| HttpError::bad_request("point source unit must be a string"))?;
+                let t = fields[1]
+                    .as_str()
+                    .ok_or_else(|| HttpError::bad_request("point target unit must be a string"))?;
+                let w = fields[2]
+                    .as_f64()
+                    .ok_or_else(|| HttpError::bad_request("point weight must be a number"))?;
+                if !w.is_finite() || w < 0.0 {
+                    return Err(HttpError::bad_request(format!(
+                        "point weight {w} must be finite and non-negative"
+                    )));
+                }
+                match (source_index.get(s), target_index.get(t)) {
+                    (Some(si), Some(ti)) => points.push((si, ti, w)),
+                    _ => unknown += 1,
+                }
+            }
+            Ok(IngestBatch {
+                source,
+                target,
+                attribute,
+                points,
+                unknown,
+                total: entries.len(),
+            })
+        }
+        pub(super) fn post_ingest_partial(
+            state: &AppState,
+            req: &Request,
+        ) -> Result<Response, HttpError> {
+            let doc = parse_body(state, req)?;
+            let batch = parse_ingest_batch(state, &doc)?;
+            state
+                .metrics
+                .ingest_batch_points
+                .record_value(batch.total as u64);
+            let agg = state
+                .ingest_partial(
+                    batch.source,
+                    batch.target,
+                    batch.attribute,
+                    &batch.points,
+                    batch.unknown,
+                )
+                .map_err(|e| core_error(&e))?;
+            Ok(Response::json(
+                Json::object([
+                    (
+                        "pair",
+                        Json::from(format!("{}->{}", batch.source, batch.target)),
+                    ),
+                    ("attribute", Json::from(batch.attribute)),
+                    ("absorbed", Json::Number(agg.count() as f64)),
+                    ("skipped", Json::Number(agg.skipped() as f64)),
+                    ("state", Json::from(hex_encode(&agg.encode()))),
+                ])
+                .to_string()
+                .into_bytes(),
+            ))
+        }
+        pub(super) fn post_crosswalk(
+            state: &AppState,
+            req: &Request,
+        ) -> Result<Response, HttpError> {
+            let doc = parse_body(state, req)?;
+            let source = str_field(&doc, "source")?;
+            let target = str_field(&doc, "target")?;
+            let attributes = array_field(&doc, "attributes")?;
+            if attributes.is_empty() {
+                return Err(HttpError::bad_request("'attributes' must not be empty"));
+            }
+
+            let (prepared, cache_hit) = state
+                .prepared_crosswalk(source, target)
+                .map_err(|e| core_error(&e))?;
+            let target_units: Vec<Json> = {
+                let pipeline = state.pipeline();
+                let ids = pipeline.unit_ids(target).map_err(|e| core_error(&e))?;
+                ids.iter().map(|id| Json::from(id.clone())).collect()
+            };
+
+            // Validate the whole batch up front, then hand it to the prepared
+            // crosswalk in one `apply_batch` call so the executor can spread the
+            // attributes over the process thread budget.
+            let mut names = Vec::with_capacity(attributes.len());
+            let mut vectors = Vec::with_capacity(attributes.len());
+            for attr in attributes {
+                let name = str_field(attr, "name")?;
+                let values: Vec<f64> = array_field(attr, "values")?
+                    .iter()
+                    .map(|v| {
+                        v.as_f64().ok_or_else(|| {
+                            HttpError::bad_request(format!(
+                                "attribute '{name}': values must be numbers"
+                            ))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                if values.len() != prepared.n_source() {
+                    return Err(HttpError::bad_request(format!(
+                        "attribute '{name}': {} values for {} source units",
+                        values.len(),
+                        prepared.n_source()
+                    )));
+                }
+                let vector = AggregateVector::new(name, values)
+                    .map_err(|e| HttpError::bad_request(format!("attribute '{name}': {e}")))?;
+                names.push(name);
+                vectors.push(vector);
+            }
+
+            let applied_batch = prepared.apply_batch(&vectors).map_err(|e| core_error(&e))?;
+            let mut columns = Vec::with_capacity(attributes.len());
+            for (name, applied) in names.into_iter().zip(applied_batch) {
+                state.metrics.record_phases(&applied.timings);
+                columns.push(Json::object([
+                    ("name", Json::from(name)),
+                    (
+                        "values",
+                        Json::Array(applied.estimate.into_iter().map(Json::Number).collect()),
+                    ),
+                    (
+                        "weights",
+                        Json::Array(applied.weights.into_iter().map(Json::Number).collect()),
+                    ),
+                ]));
+            }
+
+            Ok(Response::json(
+                Json::object([
+                    ("target_system", Json::from(target)),
+                    ("target_units", Json::Array(target_units)),
+                    ("cache_hit", Json::Bool(cache_hit)),
+                    ("columns", Json::Array(columns)),
+                ])
+                .to_string()
+                .into_bytes(),
+            ))
         }
     }
 
@@ -1058,18 +1408,24 @@ mod tests {
     fn deep_json_bodies_are_rejected_and_counted() {
         let state = AppState::new(4);
         let hostile = "[".repeat(100_000);
-        let r = route(&state, &request("POST", "/systems", &hostile));
-        assert_eq!(r.status, 400);
-        assert!(
-            String::from_utf8_lossy(&r.body).contains("depth limit"),
-            "{:?}",
-            String::from_utf8_lossy(&r.body)
-        );
-        assert_eq!(state.metrics.depth_limit_rejections.get(), 1);
+        // The tree parser and the typed decoders share the depth limit.
+        for (n, path) in ["/systems", "/crosswalk", "/ingest"]
+            .into_iter()
+            .enumerate()
+        {
+            let r = route(&state, &request("POST", path, &hostile));
+            assert_eq!(r.status, 400);
+            assert!(
+                String::from_utf8_lossy(&r.body).contains("depth limit"),
+                "{path}: {:?}",
+                String::from_utf8_lossy(&r.body)
+            );
+            assert_eq!(state.metrics.depth_limit_rejections.get(), n as u64 + 1);
+        }
         // An ordinary syntax error does not bump the depth counter.
         let r = route(&state, &request("POST", "/systems", "{nope"));
         assert_eq!(r.status, 400);
-        assert_eq!(state.metrics.depth_limit_rejections.get(), 1);
+        assert_eq!(state.metrics.depth_limit_rejections.get(), 3);
     }
 
     #[test]
@@ -1528,5 +1884,338 @@ mod tests {
             .unwrap()
             .get("count")
             .is_some());
+    }
+
+    /// A xorshift generator for the seeded differential bodies.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// Unit names as a body may write them: plain, escaped, non-ASCII,
+    /// and unknown.
+    const SOURCE_UNITS: [&str; 7] = [
+        r#""z1""#,
+        r#""z2""#,
+        r#""zé""#,
+        r#""z\u00e9""#,
+        r#""z\"4""#,
+        r#""\u007a1""#,
+        r#""nope""#,
+    ];
+    const TARGET_UNITS: [&str; 6] = [
+        r#""A""#,
+        r#""B""#,
+        r#""世界""#,
+        r#""\u4e16\u754c""#,
+        r#""\u0041""#,
+        r#""Q""#,
+    ];
+    const NUMBERS: [&str; 9] = [
+        "1",
+        "2.5",
+        "0",
+        "17",
+        "1e2",
+        "0.125",
+        "-0",
+        "3.0000000000000004",
+        "-1",
+    ];
+    /// Elements of another shape for a `[source, target, number]` array.
+    const BAD_TRIPLES: [&str; 9] = [
+        r#""x""#,
+        "[1]",
+        r#"["z1","A"]"#,
+        r#"["z1","A",1,2]"#,
+        r#"["z1",1,1]"#,
+        r#"[1,"A",1]"#,
+        r#"["z1","A","1"]"#,
+        "null",
+        "{}",
+    ];
+    /// Values of the wrong type for any field.
+    const WRONG_TYPES: [&str; 6] = ["7", "null", "true", r#""s""#, "[]", r#"{"k":[1]}"#];
+    /// Unknown members' values: nested arrays and objects.
+    const JUNK: [&str; 4] = [
+        r#"{"a":[1,[2,{"b":null}]],"c":{}}"#,
+        r#"[[[]],{"values":[1]},"points"]"#,
+        r#"{"points":[["z1","A",1]],"attributes":[]}"#,
+        r#""\u0000x""#,
+    ];
+
+    /// A triple element: well-formed most of the time.
+    fn triple(rng: &mut Rng) -> String {
+        if rng.below(12) == 0 {
+            return rng.pick(&BAD_TRIPLES).to_owned();
+        }
+        let (s, t) = (rng.pick(&SOURCE_UNITS), rng.pick(&TARGET_UNITS));
+        format!("[{s},{t},{}]", rng.pick(&NUMBERS))
+    }
+
+    fn array(rng: &mut Rng, len: usize, element: impl Fn(&mut Rng) -> String) -> String {
+        let items: Vec<String> = (0..len).map(|_| element(rng)).collect();
+        format!("[{}]", items.join(","))
+    }
+
+    /// One attribute: four values (the source system's count) most of
+    /// the time, sometimes a non-number among them or a wrong count.
+    fn attribute(rng: &mut Rng) -> String {
+        let len = if rng.below(10) == 0 { 3 } else { 4 };
+        let values = array(rng, len, |rng| {
+            if rng.below(40) == 0 {
+                rng.pick(&[r#""x""#, "null", "[1]", "{}", "true"])
+                    .to_owned()
+            } else {
+                rng.pick(&NUMBERS).to_owned()
+            }
+        });
+        let mut members = vec![
+            (r#""name""#.to_owned(), format!(r#""a{}""#, rng.below(3))),
+            (r#""values""#.to_owned(), values),
+        ];
+        if rng.below(8) == 0 {
+            members.reverse();
+        }
+        if rng.below(10) == 0 {
+            members.push((r#""values""#.to_owned(), "[9,9,9,9]".to_owned()));
+        }
+        object(&members)
+    }
+
+    fn object(members: &[(String, String)]) -> String {
+        let members: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+        format!("{{{}}}", members.join(","))
+    }
+
+    /// A seeded body for `path`: the canonical members, then reordered,
+    /// duplicated, mistyped, dropped, joined by unknown members and
+    /// spread with whitespace at random.
+    fn differential_body(rng: &mut Rng, path: &str) -> String {
+        let pair = |key: &str, value: String| (format!(r#""{key}""#), value);
+        let mut members = vec![
+            pair("source", r#""zip""#.to_owned()),
+            pair("target", r#""county""#.to_owned()),
+        ];
+        let len = rng.below(5);
+        match path {
+            "/crosswalk" => members.push(pair("attributes", array(rng, len, attribute))),
+            "/references" => {
+                members.push(pair("name", format!(r#""r{}""#, rng.below(4))));
+                members.push(pair("entries", array(rng, len, triple)));
+            }
+            _ => {
+                members.push(pair("attribute", r#""visits""#.to_owned()));
+                members.push(pair("points", array(rng, len, triple)));
+            }
+        }
+        for _ in 0..rng.below(3) {
+            let i = rng.below(members.len());
+            let j = rng.below(members.len());
+            members.swap(i, j);
+        }
+        if rng.below(6) == 0 {
+            // A duplicate key: the first occurrence wins.
+            let (key, _) = members[rng.below(members.len())].clone();
+            let value = if key.contains("source") {
+                r#""county""#.to_owned()
+            } else {
+                rng.pick(&WRONG_TYPES).to_owned()
+            };
+            members.push((key, value));
+        }
+        if rng.below(6) == 0 {
+            let i = rng.below(members.len());
+            members[i].1 = rng.pick(&WRONG_TYPES).to_owned();
+        }
+        if rng.below(10) == 0 {
+            members.remove(rng.below(members.len()));
+        }
+        if rng.below(5) == 0 {
+            let at = rng.below(members.len() + 1);
+            members.insert(at, pair("unknown", rng.pick(&JUNK).to_owned()));
+        }
+        if rng.below(8) == 0 {
+            // An escaped key names the same member.
+            let i = rng.below(members.len());
+            members[i].0 = members[i].0.replacen('e', r"\u0065", 1);
+        }
+        let body = object(&members);
+        if rng.below(4) == 0 {
+            spread(rng, &body)
+        } else {
+            body
+        }
+    }
+
+    /// `body` with whitespace around every structural character outside
+    /// strings, so between every pair of tokens.
+    fn spread(rng: &mut Rng, body: &str) -> String {
+        let mut out = String::new();
+        let (mut in_string, mut escaped) = (false, false);
+        for ch in body.chars() {
+            let structural = !in_string && "[]{},:".contains(ch);
+            if structural {
+                out.push_str(rng.pick(&[" ", "\n", "\t ", "\r\n  "]));
+            }
+            out.push(ch);
+            if structural {
+                out.push_str(rng.pick(&[" ", "\n", "\t", "  "]));
+            }
+            if in_string {
+                match (escaped, ch) {
+                    (false, '\\') => escaped = true,
+                    (false, '"') => in_string = false,
+                    _ => escaped = false,
+                }
+            } else if ch == '"' {
+                in_string = true;
+            }
+        }
+        out
+    }
+
+    /// The world each of the differential test's two states starts in:
+    /// one state answers through `route`, the other through the tree
+    /// handlers. Some unit names need escapes or are not ASCII.
+    fn differential_world() -> std::sync::Arc<AppState> {
+        let state = AppState::new(8);
+        for (path, body) in [
+            (
+                "/systems",
+                r#"{"name":"zip","units":["z1","z2","zé","z\"4"]}"#,
+            ),
+            ("/systems", r#"{"name":"county","units":["A","B","世界"]}"#),
+            (
+                "/references",
+                r#"{"source":"zip","target":"county","name":"population",
+                   "entries":[["z1","A",100],["z2","A",60],["z2","B",40],["zé","世界",80],["z\"4","B",5]]}"#,
+            ),
+        ] {
+            let r = route(&state, &request("POST", path, body));
+            assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        }
+        state
+    }
+
+    /// Sends `body` to `path` on both states and asserts the same status,
+    /// body bytes, connection intent and depth-limit count; returns the
+    /// status.
+    fn assert_same_answer(typed: &AppState, tree_state: &AppState, path: &str, body: &[u8]) -> u16 {
+        let mut req = request("POST", path, "");
+        req.body = body.to_vec();
+        let reference = match path {
+            "/crosswalk" => tree::post_crosswalk,
+            "/references" => tree::post_references,
+            "/ingest" => tree::post_ingest,
+            _ => tree::post_ingest_partial,
+        };
+        let depth = |state: &AppState| state.metrics.depth_limit_rejections.get();
+        let before = (depth(typed), depth(tree_state));
+        let got = route(typed, &req);
+        let want = reference(tree_state, &req).unwrap_or_else(Response::from);
+        let text = String::from_utf8_lossy(body);
+        assert_eq!(got.status, want.status, "{path} {text}");
+        assert_eq!(
+            String::from_utf8_lossy(&got.body),
+            String::from_utf8_lossy(&want.body),
+            "{path} {text}"
+        );
+        assert_eq!(got.connection_close, want.connection_close, "{path} {text}");
+        assert_eq!(
+            depth(typed) - before.0,
+            depth(tree_state) - before.1,
+            "{path} {text}"
+        );
+        got.status
+    }
+
+    #[test]
+    fn typed_handlers_answer_like_the_tree_handlers() {
+        let typed = differential_world();
+        let tree_state = differential_world();
+        let paths = ["/crosswalk", "/ingest", "/ingest/partial", "/references"];
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let mut statuses = std::collections::BTreeMap::new();
+        for _ in 0..1500 {
+            let path = paths[rng.below(paths.len())];
+            let body = differential_body(&mut rng, path);
+            let status = assert_same_answer(&typed, &tree_state, path, body.as_bytes());
+            *statuses.entry((path, status)).or_insert(0) += 1;
+        }
+        // The seeded bodies reach both the answers and the rejections.
+        for path in paths {
+            assert!(statuses.contains_key(&(path, 200)), "{path}: {statuses:?}");
+            assert!(statuses.contains_key(&(path, 400)), "{path}: {statuses:?}");
+        }
+
+        // Every byte prefix of a small canonical body.
+        let points = r#"{"source":"zip","target":"county","attribute":"visits","points":[["z1","A",1],["zé","世界",2.5]]}"#;
+        for (path, body) in [
+            (
+                "/crosswalk",
+                r#"{"source":"zip","target":"county","attributes":[{"name":"a","values":[1,2,3,4]}]}"#,
+            ),
+            ("/ingest", points),
+            ("/ingest/partial", points),
+            (
+                "/references",
+                r#"{"source":"zip","target":"county","name":"p","entries":[["z1","A",1],["z\"4","B",2]]}"#,
+            ),
+        ] {
+            for n in 0..=body.len() {
+                assert_same_answer(&typed, &tree_state, path, &body.as_bytes()[..n]);
+            }
+        }
+
+        // Nesting at MAX_DEPTH and one past it, inside an unknown key and
+        // inside the bulk array. `levels` is what the document spends
+        // around the spot.
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        for (path, template, levels) in [
+            (
+                "/crosswalk",
+                r#"{"source":"zip","target":"county","unknown":DEEP,"attributes":[{"name":"a","values":[1,2,3,4]}]}"#,
+                1,
+            ),
+            (
+                "/crosswalk",
+                r#"{"source":"zip","target":"county","attributes":[{"name":"a","values":[1,DEEP]}]}"#,
+                4,
+            ),
+            (
+                "/ingest",
+                r#"{"source":"zip","target":"county","attribute":"v","unknown":DEEP,"points":[["z1","A",1]]}"#,
+                1,
+            ),
+            (
+                "/ingest",
+                r#"{"source":"zip","target":"county","attribute":"v","points":[["z1","A",1],DEEP]}"#,
+                2,
+            ),
+            (
+                "/references",
+                r#"{"source":"zip","target":"county","name":"d","entries":[DEEP,["z1","A",1]]}"#,
+                2,
+            ),
+        ] {
+            for (n, too_deep) in [(MAX_DEPTH - levels, false), (MAX_DEPTH - levels + 1, true)] {
+                let body = template.replace("DEEP", &deep(n));
+                let before = typed.metrics.depth_limit_rejections.get();
+                assert_same_answer(&typed, &tree_state, path, body.as_bytes());
+                let counted = typed.metrics.depth_limit_rejections.get() - before;
+                assert_eq!(counted, u64::from(too_deep), "{path} at {n} levels");
+            }
+        }
     }
 }

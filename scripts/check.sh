@@ -107,6 +107,39 @@ if [ -n "$o_request" ]; then
     exit 1
 fi
 
+echo "==> bulk request bodies decode typed: no JSON tree in their handlers"
+# /crosswalk, /references, /ingest and /ingest/partial decode their bulk
+# arrays with the typed decoders of json.rs (DESIGN.md §7); a tree parse
+# in one of these handlers brings back a Json per number and per point.
+# Function-scoped like the zero-allocation gate below; the test module,
+# which keeps the tree handlers as the reference, is skipped.
+limit=$({ grep -nE '^(mod tests|#\[cfg\(test\)\])' crates/geoalign-serve/src/router.rs || true; } \
+    | head -1 | cut -d: -f1)
+[ -z "$limit" ] && limit=0
+tree_hits=""
+for fn in post_crosswalk post_references post_ingest post_ingest_partial parse_ingest_batch; do
+    found=$(awk -v fname="$fn" -v limit="$limit" -v file=crates/geoalign-serve/src/router.rs '
+        (limit == 0 || NR < limit) && in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
+        in_fn {
+            if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /parse_body\(|json::parse\(/)
+                print file ":" NR ": " $0
+            n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
+            depth += n - m
+            if (depth > 0) opened = 1
+            if (opened && depth <= 0) in_fn = 0
+        }
+        END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
+    ' crates/geoalign-serve/src/router.rs)
+    if [ -n "$found" ]; then
+        tree_hits="${tree_hits}${found}"$'\n'
+    fi
+done
+if [ -n "$tree_hits" ]; then
+    echo "error: tree parse in a bulk handler — use json::parse_crosswalk / json::parse_triples:" >&2
+    echo "$tree_hits" >&2
+    exit 1
+fi
+
 echo "==> metric naming: geoalign_<crate>_<name>_<unit>"
 # Every registered metric name is a literal "geoalign_..." string in a
 # src/ file; hold them all to the §8 convention so a scrape stays
@@ -279,6 +312,12 @@ GEOALIGN_THREADS=8 cargo test -q -p geoalign-cli --test cluster
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> build the bench binaries (geoalign-bench)"
+# `cargo build --release` above builds only the root package; the three
+# smokes below run geoalign-bench bins, which would otherwise be missing
+# or stale.
+cargo build --release -p geoalign-bench
 
 echo "==> ingest bench smoke (small universe)"
 # Exercises the incremental-vs-full fold comparison end to end, including
