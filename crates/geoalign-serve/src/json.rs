@@ -468,14 +468,16 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-/// `10^f` for every power of ten an `f64` holds exactly.
-const POW10: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
-
 /// Most digits the exact path accumulates: any 19 fit in a `u64`.
 const EXACT_DIGITS: usize = 19;
+
+/// `10^f` for every fraction length the exact path sees: at least one
+/// of its digits is whole, so `f < EXACT_DIGITS`. Each is an exact `f64`
+/// (every power of ten up to `10^22` is).
+const POW10: [f64; EXACT_DIGITS] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18,
+];
 
 /// Largest mantissa the exact path takes: every integer up to `2^53` is
 /// an `f64`.
@@ -484,8 +486,8 @@ const EXACT_MANTISSA: u64 = 1 << 53;
 /// A number token: the longest run of `-?[0-9.eE+-]*` at `*pos`, valued
 /// by `str::parse`.
 ///
-/// A token `-?d+(.d+)?` of at most 19 digits, whose digits read as an
-/// integer `w <= 2^53` with `f <= 22` of them after the point, takes an
+/// A token `-?d+(.d+)?` of at most 19 digits in all, whose digits read
+/// as an integer `w <= 2^53` with `f` of them after the point, takes an
 /// exact path instead: `w` and `10^f` are both exact `f64`s, so the one
 /// correctly rounded division `w / 10^f` is the correctly rounded value
 /// of the token, which is also what `str::parse` returns (negation is
@@ -494,13 +496,10 @@ const EXACT_MANTISSA: u64 = 1 << 53;
 /// the same span, value and error as ever.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
     let start = *pos;
-    if let Some((value, end)) = exact_decimal(bytes, start) {
-        *pos = end;
+    if let Some(value) = exact_decimal(bytes, pos) {
         return Ok(value);
     }
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
+    // The exact path stopped inside the token: the scan goes on from there.
     while *pos < bytes.len() && is_number_byte(bytes[*pos]) {
         *pos += 1;
     }
@@ -514,17 +513,19 @@ fn is_number_byte(b: u8) -> bool {
     matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
 }
 
-/// The exact path of [`parse_number`]: the value and end of the token at
-/// `start` when it has the exact form, `None` when it does not.
-fn exact_decimal(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
-    let negative = bytes.get(start) == Some(&b'-');
-    let mut pos = start + usize::from(negative);
+/// The exact path of [`parse_number`]: the value of the token at `*pos`
+/// when it has the exact form, with `*pos` at its end. `None` when it
+/// does not, with `*pos` past the sign, digits and point read so far,
+/// all of them bytes of the token.
+fn exact_decimal(bytes: &[u8], pos: &mut usize) -> Option<f64> {
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
     let mut mantissa = 0;
-    let whole = digit_run(bytes, &mut pos, &mut mantissa);
+    let whole = digit_run(bytes, pos, &mut mantissa);
     let mut fraction = 0;
-    if whole > 0 && bytes.get(pos) == Some(&b'.') {
-        pos += 1;
-        fraction = digit_run(bytes, &mut pos, &mut mantissa);
+    if whole > 0 && bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        fraction = digit_run(bytes, pos, &mut mantissa);
         if fraction == 0 {
             return None;
         }
@@ -532,12 +533,12 @@ fn exact_decimal(bytes: &[u8], start: usize) -> Option<(f64, usize)> {
     if whole == 0
         || whole + fraction > EXACT_DIGITS
         || mantissa > EXACT_MANTISSA
-        || bytes.get(pos).copied().is_some_and(is_number_byte)
+        || bytes.get(*pos).copied().is_some_and(is_number_byte)
     {
         return None;
     }
-    let magnitude = mantissa as f64 / POW10.get(fraction)?;
-    Some((if negative { -magnitude } else { magnitude }, pos))
+    let magnitude = mantissa as f64 / POW10[fraction];
+    Some(if negative { -magnitude } else { magnitude })
 }
 
 /// Appends the decimal digits at `*pos` to `mantissa` and returns how
@@ -750,7 +751,7 @@ fn object_members<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -840,15 +841,19 @@ mod tests {
         assert_eq!(Json::Number(f64::NAN).to_string(), "null");
     }
 
-    /// A xorshift generator for the seeded tests.
-    struct Rng(u64);
+    /// A xorshift generator for the crate's seeded tests.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
             (self.0 % n as u64) as usize
+        }
+
+        pub(crate) fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+            items[self.below(items.len())]
         }
 
         fn digits(&mut self, n: usize) -> String {

@@ -564,9 +564,10 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
         .prepared_crosswalk(source, target)
         .map_err(|e| core_error(&e))?;
     // The response is written straight into the body buffer, starting
-    // with the target ids under the pipeline read lock.
-    let numbers = prepared.n_target() * (1 + attributes.len());
-    let mut out = String::with_capacity(64 + 20 * numbers);
+    // with the target ids under the pipeline read lock. The buffer grows
+    // only by what has been validated: the registered target system here,
+    // the computed columns below, never the request's element counts.
+    let mut out = String::with_capacity(64 + 20 * prepared.n_target());
     out.push_str("{\"target_system\":");
     json::write_string(&mut out, target);
     out.push_str(",\"target_units\":");
@@ -609,6 +610,11 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
     }
 
     let applied_batch = prepared.apply_batch(&vectors).map_err(|e| core_error(&e))?;
+    let numbers: usize = applied_batch
+        .iter()
+        .map(|applied| applied.estimate.len() + applied.weights.len())
+        .sum();
+    out.reserve(32 * names.len() + 20 * numbers);
     out.push_str(",\"columns\":");
     json::write_array(
         &mut out,
@@ -1018,6 +1024,7 @@ fn span_record_json(s: &geoalign_obs::SpanRecord) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::Rng;
     use crate::json::MAX_DEPTH;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
@@ -1402,6 +1409,46 @@ mod tests {
         // Malformed JSON.
         let r = route(&state, &request("POST", "/crosswalk", "{nope"));
         assert_eq!(r.status, 400);
+    }
+
+    #[test]
+    fn unvalidated_attribute_counts_do_not_size_the_response() {
+        // A wide target and a long array of non-objects: a buffer sized
+        // by target units times request attributes would ask for a
+        // terabyte before the first attribute is looked at.
+        let world = || {
+            let state = AppState::new(8);
+            let units: Vec<String> = (0..100_000).map(|i| format!("\"t{i}\"")).collect();
+            for (path, body) in [
+                ("/systems", r#"{"name":"zip","units":["z1","z2"]}"#.to_owned()),
+                (
+                    "/systems",
+                    format!(r#"{{"name":"wide","units":[{}]}}"#, units.join(",")),
+                ),
+                (
+                    "/references",
+                    r#"{"source":"zip","target":"wide","name":"p","entries":[["z1","t0",1],["z2","t1",2]]}"#
+                        .to_owned(),
+                ),
+            ] {
+                let r = route(&state, &request("POST", path, &body));
+                assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+            }
+            state
+        };
+        let (typed, tree_state) = (world(), world());
+        let body = format!(
+            r#"{{"source":"zip","target":"wide","attributes":[{}0]}}"#,
+            "0,".repeat(500_000)
+        );
+        let status = assert_same_answer(&typed, &tree_state, "/crosswalk", body.as_bytes());
+        assert_eq!(status, 400);
+        let r = route(&typed, &request("POST", "/crosswalk", &body));
+        assert!(
+            String::from_utf8_lossy(&r.body).contains("missing string field 'name'"),
+            "{:?}",
+            String::from_utf8_lossy(&r.body)
+        );
     }
 
     #[test]
@@ -1884,22 +1931,6 @@ mod tests {
             .unwrap()
             .get("count")
             .is_some());
-    }
-
-    /// A xorshift generator for the seeded differential bodies.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 % n as u64) as usize
-        }
-
-        fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-            items[self.below(items.len())]
-        }
     }
 
     /// Unit names as a body may write them: plain, escaped, non-ASCII,
