@@ -112,6 +112,20 @@ impl AggState {
     /// Folds `other` in. Merging is commutative and associative, and any
     /// split of the same input merges to bit-identical state.
     pub fn merge(&mut self, other: &AggState) -> Result<(), AggError> {
+        self.check_mergeable(other)?;
+        for (key, sum) in &other.cells {
+            self.cells.entry(*key).or_default().merge(sum);
+        }
+        self.count += other.count;
+        self.skipped += other.skipped;
+        crate::obs::merge_total().inc();
+        Ok(())
+    }
+
+    /// The error [`AggState::merge`] would return for `other`, without
+    /// merging: the two states must aggregate the same attribute over the
+    /// same shape.
+    pub fn check_mergeable(&self, other: &AggState) -> Result<(), AggError> {
         if self.attribute != other.attribute {
             return Err(AggError::StateMismatch {
                 detail: format!("attribute '{}' vs '{}'", self.attribute, other.attribute),
@@ -125,13 +139,34 @@ impl AggState {
                 ),
             });
         }
-        for (key, sum) in &other.cells {
-            self.cells.entry(*key).or_default().merge(sum);
-        }
-        self.count += other.count;
-        self.skipped += other.skipped;
-        crate::obs::merge_total().inc();
         Ok(())
+    }
+
+    /// The preview half of an in-place fold: for every cell `other`
+    /// touches, in `(source, target)` order, the value that cell rounds to
+    /// once `other` is merged in — bit-identical to the triple
+    /// [`AggState::finalize`] would emit for it after the merge. Neither
+    /// state changes, so a caller can validate the values and commit with
+    /// [`AggState::merge`] only when nothing else can fail. Costs
+    /// `O(cells(other) · log cells(self))`, independent of how much the
+    /// untouched cells hold.
+    pub fn merged_cells(&self, other: &AggState) -> Result<Vec<(usize, usize, f64)>, AggError> {
+        self.check_mergeable(other)?;
+        Ok(other
+            .cells
+            .iter()
+            .map(|(&(si, ti), sum)| {
+                let value = match self.cells.get(&(si, ti)) {
+                    Some(mine) => {
+                        let mut merged = mine.clone();
+                        merged.merge(sum);
+                        merged.value()
+                    }
+                    None => sum.value(),
+                };
+                (si as usize, ti as usize, value)
+            })
+            .collect())
     }
 
     /// The accessor: rounds the exact state into per-unit totals and
@@ -357,6 +392,35 @@ mod tests {
             assert_eq!(left, whole, "split at {split}");
             assert_eq!(left.encode(), whole.encode());
         }
+    }
+
+    #[test]
+    fn merged_cells_preview_the_merge_without_mutating() {
+        let base = state_with(&[(0, 0, 1.0), (0, 1, 0.1), (2, 1, 4.0), (1, 0, 1e308)]);
+        let batch = state_with(&[(0, 1, -0.1), (1, 0, 1e308), (2, 0, 5e-324), (2, 1, 0.5)]);
+        let before = base.clone();
+        let preview = base.merged_cells(&batch).unwrap();
+        assert_eq!(base, before, "the preview leaves the state alone");
+        let mut merged = base.clone();
+        merged.merge(&batch).unwrap();
+        let finalized = merged.finalize().triples;
+        let touched: Vec<(usize, usize, f64)> = finalized
+            .into_iter()
+            .filter(|&(si, ti, _)| preview.iter().any(|&(s, t, _)| (s, t) == (si, ti)))
+            .collect();
+        assert_eq!(preview.len(), touched.len());
+        for (p, f) in preview.iter().zip(&touched) {
+            assert_eq!((p.0, p.1), (f.0, f.1));
+            assert_eq!(p.2.to_bits(), f.2.to_bits(), "cell ({}, {})", p.0, p.1);
+        }
+        // The exact cancellation rounds to +0.0; the sum past f64::MAX to +inf.
+        assert_eq!(preview[0], (0, 1, 0.0));
+        assert_eq!(preview[1], (1, 0, f64::INFINITY));
+        let other = AggState::new("income", 3, 2).unwrap();
+        assert!(matches!(
+            base.merged_cells(&other),
+            Err(AggError::StateMismatch { .. })
+        ));
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Streaming-ingest cost: what does folding one `/ingest` batch into a
-//! live crosswalk cost on the incremental path (state merge + one-column
-//! delta re-prepare) versus the naive alternative (re-aggregate every
-//! point seen so far and re-run the full `O(n²m)` prepare)?
+//! Streaming-ingest cost along a stream: what does the serving fold —
+//! `AppState::ingest` on a durable state, exactly what `POST /ingest`
+//! runs after resolving unit names — cost per batch, and how many WAL
+//! bytes does it write per ingested point, as the stream grows?
 //!
-//! The incremental path is the one geoalign-serve takes; the full path is
-//! what a server without mergeable aggregate states would be forced into.
-//! Both are timed per batch at a paper-scale universe (the United States
-//! 30,238 × 3,142 unit counts by default), and the bench asserts the two
-//! paths stay **bit-identical** — the incremental snapshot must answer
-//! exactly like a from-scratch prepare over the concatenated points.
+//! A fold that costs O(batch) stays flat in both columns; one that
+//! re-finalizes the whole stream or rewrites its whole rollup grows with
+//! the number of distinct cells the stream has touched. Each batch is
+//! timed at a paper-scale universe (the United States 30,238 × 3,142
+//! unit counts by default) against a store in a temp dir, with the pair's
+//! prepared crosswalk cached, so every fold also refreshes it through the
+//! delta path, as on a warm server.
+//!
+//! Every 10th batch (every batch with `--small`) and the last are checked
+//! **bit for bit** against the naive alternative — re-aggregate every point seen so
+//! far and re-run the full prepare — and the time that takes is recorded
+//! as `full_ms` for contrast.
 //!
 //! Batches arrive pre-located (unit-id triples), matching the `/ingest`
-//! wire format: the point-in-polygon cost is identical on both paths, so
-//! it is excluded; what differs is the fold + prepare work.
+//! wire format after name resolution.
 //!
 //! Writes machine-readable `BENCH_ingest.json` (see `--out`).
 //!
@@ -22,8 +27,14 @@
 use geoalign_agg::AggState;
 use geoalign_core::{GeoAlign, ReferenceData};
 use geoalign_partition::{AggregateVector, DisaggregationMatrix};
+use geoalign_serve::AppState;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
+
+const SOURCE: &str = "zip";
+const TARGET: &str = "county";
+const STREAM: &str = "stream";
 
 fn lcg(state: &mut u64) -> f64 {
     *state = state
@@ -79,44 +90,47 @@ fn synthetic_batch(
     batch
 }
 
-fn absorb_all(
-    attr: &str,
-    n_source: usize,
-    n_target: usize,
-    points: &[(usize, usize, f64)],
-) -> AggState {
-    let mut s = AggState::new(attr, n_source, n_target).expect("state");
-    for &(si, ti, w) in points {
-        s.absorb(si, ti, w).expect("absorb");
-    }
-    s
+/// Bytes of every file in `dir`: the WAL segments (and any snapshot).
+fn dir_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read data dir")
+        .filter_map(|e| e.ok()?.metadata().ok())
+        .map(|m| m.len())
+        .sum()
+}
+
+fn median(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 20180326u64;
-    let mut n_batches = 5usize;
-    let mut batch_points = 20_000usize;
+    let mut n_batches = 50usize;
+    let mut batch_points = 2_000usize;
+    let mut check_every = 10usize;
     let mut out_path = "BENCH_ingest.json".to_owned();
     // Paper United States unit counts (§4.1: 30,238 zips / 3,142 counties).
     let (mut n_source, mut n_target) = (30_238usize, 3_142usize);
     let mut it = args.iter();
+    let int = |v: Option<&String>, flag: &str| -> usize {
+        v.unwrap_or_else(|| panic!("{flag} needs a value"))
+            .parse()
+            .unwrap_or_else(|_| panic!("{flag} needs an integer"))
+    };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => seed = it.next().expect("--seed value").parse().expect("int"),
-            "--batches" => n_batches = it.next().expect("--batches value").parse().expect("int"),
-            "--batch-points" => {
-                batch_points = it
-                    .next()
-                    .expect("--batch-points value")
-                    .parse()
-                    .expect("int")
-            }
+            "--seed" => seed = int(it.next(), "--seed") as u64,
+            "--batches" => n_batches = int(it.next(), "--batches"),
+            "--batch-points" => batch_points = int(it.next(), "--batch-points"),
             "--out" => out_path = it.next().expect("--out value").clone(),
             "--small" => {
                 (n_source, n_target) = (400, 80);
-                batch_points = 2_000;
-                n_batches = 3;
+                batch_points = 200;
+                n_batches = 8;
+                check_every = 1;
             }
             "--medium" => (n_source, n_target) = (3_000, 320),
             flag => {
@@ -125,115 +139,168 @@ fn main() {
             }
         }
     }
+    assert!(n_batches > 0, "--batches must be at least 1");
 
-    let mut state = seed;
+    let mut rng = seed;
     let statics: Vec<ReferenceData> = (0..2)
-        .map(|k| synthetic_reference(&format!("ref{k}"), n_source, n_target, &mut state))
+        .map(|k| synthetic_reference(&format!("ref{k}"), n_source, n_target, &mut rng))
         .collect();
+    let data_dir =
+        std::env::temp_dir().join(format!("geoalign-bench-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let state = AppState::open_durable(&data_dir, 8).expect("open durable state");
+    {
+        let mut pipeline = state.pipeline_mut();
+        pipeline.register_system(SOURCE, (0..n_source).map(|i| format!("s{i}")));
+        pipeline.register_system(TARGET, (0..n_target).map(|j| format!("t{j}")));
+        for r in &statics {
+            pipeline
+                .register_reference(SOURCE, TARGET, r.clone())
+                .expect("register static reference");
+        }
+    }
+    // Cache the pair's crosswalk, as a serving node has it: every fold then
+    // refreshes the cached snapshot through the delta path.
+    state.prepared_crosswalk(SOURCE, TARGET).expect("prepare");
+    state.durable().expect("durable").flush();
 
     eprintln!(
         "# ingest — {n_source}x{n_target} units, 2 static references, \
-         {n_batches} batches x {batch_points} points"
+         {n_batches} batches x {batch_points} points, durable store in {}",
+        data_dir.display()
     );
 
-    // Seed the streaming reference with a first batch so both paths start
-    // from a live (already-prepared) pair, the steady-state a server is in.
-    let first = synthetic_batch(batch_points, n_source, n_target, &mut state);
-    let mut live = absorb_all("stream", n_source, n_target, &first);
-    let mut all_points = first;
-    let streaming_index = statics.len();
-
-    let make_ref = |s: &AggState| {
-        let dm = DisaggregationMatrix::from_state(s).expect("dm from state");
-        ReferenceData::from_dm(s.attribute(), dm).expect("reference from state")
-    };
-    let full_prepare = |stream_ref: ReferenceData| {
-        let mut refs: Vec<&ReferenceData> = statics.iter().collect();
-        let r = stream_ref;
-        refs.push(&r);
-        GeoAlign::new().prepare(&refs).expect("prepare")
-    };
-
-    let mut prepared = full_prepare(make_ref(&live));
-
-    let mut batches_json: Vec<String> = Vec::new();
-    let (mut sum_inc, mut sum_full) = (0.0f64, 0.0f64);
+    let mut all_points: Vec<(usize, usize, f64)> = Vec::new();
+    let mut rows_json: Vec<String> = Vec::new();
+    let mut fold_ms = Vec::with_capacity(n_batches);
+    let mut wal_per_point = Vec::with_capacity(n_batches);
+    let mut checked = Vec::new();
     for b in 0..n_batches {
-        let batch = synthetic_batch(batch_points, n_source, n_target, &mut state);
-
-        // --- Incremental: fold the batch, delta-update one column -------
-        let t0 = Instant::now();
-        let part = absorb_all("stream", n_source, n_target, &batch);
-        let mut next = live.clone();
-        next.merge(&part).expect("merge");
-        let (inc_prepared, touched) = prepared
-            .with_reference_updated(streaming_index, make_ref(&next))
-            .expect("incremental prepare");
-        let incremental_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // --- Full: re-aggregate everything, re-prepare from scratch -----
+        let batch = synthetic_batch(batch_points, n_source, n_target, &mut rng);
         all_points.extend_from_slice(&batch);
-        let t1 = Instant::now();
-        let whole = absorb_all("stream", n_source, n_target, &all_points);
-        let full_prepared = full_prepare(make_ref(&whole));
-        let full_ms = t1.elapsed().as_secs_f64() * 1e3;
 
-        // The streamed fold must be indistinguishable from the re-run.
-        assert_eq!(
-            next.encode(),
-            whole.encode(),
-            "batch {b}: folded state diverged from re-aggregation"
-        );
-        let probe = AggregateVector::new(
-            "probe",
-            (0..n_source).map(|_| lcg(&mut state) * 100.0).collect(),
-        )
-        .expect("probe");
-        let inc_est = inc_prepared.apply_values(&probe).expect("inc apply");
-        let full_est = full_prepared.apply_values(&probe).expect("full apply");
-        for (x, y) in inc_est.estimate.iter().zip(&full_est.estimate) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "batch {b}: incremental answers diverged from full re-prepare"
-            );
+        let bytes0 = dir_bytes(&data_dir);
+        let t0 = Instant::now();
+        let outcome = state
+            .ingest(SOURCE, TARGET, STREAM, &batch, 0)
+            .expect("ingest");
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let wal = (dir_bytes(&data_dir) - bytes0) as f64 / batch.len() as f64;
+        let cells = state.pipeline().references(SOURCE, TARGET)[outcome.position]
+            .dm()
+            .nnz();
+        fold_ms.push(ms);
+        wal_per_point.push(wal);
+
+        // The naive alternative, checked bit for bit against the fold.
+        let mut full_ms = None;
+        if (b + 1) % check_every == 0 || b + 1 == n_batches {
+            let t1 = Instant::now();
+            let mut whole = AggState::new(STREAM, n_source, n_target).expect("state");
+            for &(si, ti, w) in &all_points {
+                whole.absorb(si, ti, w).expect("absorb");
+            }
+            let dm = DisaggregationMatrix::from_state(&whole).expect("dm from state");
+            let stream = ReferenceData::from_dm(STREAM, dm).expect("reference");
+            let mut refs: Vec<&ReferenceData> = statics.iter().collect();
+            refs.push(&stream);
+            let full = GeoAlign::new().prepare(&refs).expect("prepare");
+            full_ms = Some(t1.elapsed().as_secs_f64() * 1e3);
+
+            let (served, hit) = state.prepared_crosswalk(SOURCE, TARGET).expect("lookup");
+            assert!(hit, "batch {b}: the fold refreshed the cached crosswalk");
+            {
+                let pipeline = state.pipeline();
+                let folded = &pipeline.references(SOURCE, TARGET)[outcome.position];
+                let bits = |r: &ReferenceData| -> (Vec<(usize, usize, u64)>, Vec<u64>) {
+                    (
+                        r.dm()
+                            .matrix()
+                            .iter()
+                            .map(|(i, j, v)| (i, j, v.to_bits()))
+                            .collect(),
+                        r.source().values().iter().map(|v| v.to_bits()).collect(),
+                    )
+                };
+                assert!(
+                    bits(folded) == bits(&stream),
+                    "batch {b}: folded reference diverged from re-aggregation"
+                );
+            }
+            let probe = AggregateVector::new(
+                "probe",
+                (0..n_source).map(|_| lcg(&mut rng) * 100.0).collect(),
+            )
+            .expect("probe");
+            let got = served.apply_values(&probe).expect("served apply");
+            let want = full.apply_values(&probe).expect("full apply");
+            for (x, y) in got.estimate.iter().zip(&want.estimate) {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "batch {b}: served answers diverged from a full re-prepare"
+                );
+            }
+            checked.push(b);
         }
 
-        live = next;
-        prepared = inc_prepared;
-        sum_inc += incremental_ms;
-        sum_full += full_ms;
         eprintln!(
-            "batch {b}: incremental {incremental_ms:>9.3} ms ({touched} rows touched), \
-             full {full_ms:>9.3} ms, speedup {:>6.2}x",
-            full_ms / incremental_ms.max(1e-9)
+            "batch {b:>3}: fold {ms:>8.3} ms, {wal:>7.2} WAL bytes/point, {cells:>6} cells, \
+             {} rows touched{}",
+            outcome.touched_rows,
+            full_ms.map_or(String::new(), |f| format!(
+                ", full {f:.3} ms (bit-identical)"
+            ))
         );
-        batches_json.push(format!(
-            "    {{ \"batch\": {b}, \"incremental_ms\": {incremental_ms:.3}, \
-             \"full_ms\": {full_ms:.3}, \"touched_rows\": {touched} }}"
+        rows_json.push(format!(
+            "    {{ \"batch\": {b}, \"fold_ms\": {ms:.3}, \"wal_bytes_per_point\": {wal:.2}, \
+             \"stream_cells\": {cells}, \"touched_rows\": {}, \"full_ms\": {} }}",
+            outcome.touched_rows,
+            full_ms.map_or("null".to_owned(), |f| format!("{f:.3}"))
         ));
     }
+    drop(state);
+    let _ = std::fs::remove_dir_all(&data_dir);
 
-    let mean_inc = sum_inc / n_batches as f64;
-    let mean_full = sum_full / n_batches as f64;
+    let edge = n_batches.min(5);
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"ingest\",");
     json.push_str(&geoalign_bench::metadata_json_lines());
+    let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(json, "  \"seed\": {seed},");
     let _ = writeln!(
         json,
         "  \"universe\": {{ \"n_source\": {n_source}, \"n_target\": {n_target}, \"static_references\": 2 }},"
     );
-    let _ = writeln!(json, "  \"batch_points\": {batch_points},");
-    let _ = writeln!(json, "  \"batches\": [");
-    let _ = writeln!(json, "{}", batches_json.join(",\n"));
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"mean_incremental_ms\": {mean_inc:.3},");
-    let _ = writeln!(json, "  \"mean_full_ms\": {mean_full:.3},");
     let _ = writeln!(
         json,
-        "  \"mean_speedup\": {:.3}",
-        mean_full / mean_inc.max(1e-9)
+        "  \"path\": \"AppState::ingest on a durable state (WAL fsync on), cached crosswalk refreshed\","
+    );
+    let _ = writeln!(json, "  \"batch_points\": {batch_points},");
+    let _ = writeln!(json, "  \"checked_batches\": {checked:?},");
+    let _ = writeln!(json, "  \"batches\": [");
+    let _ = writeln!(json, "{}", rows_json.join(",\n"));
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(
+        json,
+        "  \"fold_ms_first5_median\": {:.3},",
+        median(&fold_ms[..edge])
+    );
+    let _ = writeln!(
+        json,
+        "  \"fold_ms_last5_median\": {:.3},",
+        median(&fold_ms[n_batches - edge..])
+    );
+    let _ = writeln!(
+        json,
+        "  \"wal_bytes_per_point_first5_median\": {:.2},",
+        median(&wal_per_point[..edge])
+    );
+    let _ = writeln!(
+        json,
+        "  \"wal_bytes_per_point_last5_median\": {:.2}",
+        median(&wal_per_point[n_batches - edge..])
     );
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_ingest.json");

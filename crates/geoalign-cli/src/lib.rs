@@ -170,7 +170,8 @@ AGG SUBCOMMANDS:
     agg inspect FILE           decode one mergeable aggregate state file
                                (the versioned `AggState` codec) and summarise it
     agg inspect --data-dir DIR open a durable store and summarise every
-                               streaming-ingest rollup under agg/
+                               streaming reference under agg/: its rollup
+                               merged with its logged batch partials
     agg merge OUT IN [IN ...]  merge state files into OUT; the merge is
                                commutative and associative, so any order and
                                grouping writes the identical bytes
@@ -868,18 +869,27 @@ pub fn run_agg(args: &AggArgs) -> Result<String, CliError> {
         AggArgs::InspectStore(dir) => {
             let store =
                 geoalign_store::Store::open(dir).map_err(|e| CliError::Run(e.to_string()))?;
-            let rollups = store.iter_prefix("agg/");
+            // The server's own replay: one merged state per streaming
+            // reference, however many batch partials it was logged as.
+            let replayed = geoalign_core::persist::replay_agg(&store)
+                .map_err(|e| CliError::Run(format!("{dir}: {e}")))?;
             let mut out = String::new();
-            let _ = writeln!(out, "store at {dir}: {} streaming rollup(s)", rollups.len());
-            for (key, bytes) in rollups {
-                let (source, target, state) = geoalign_core::persist::decode_agg_rollup(&bytes)
-                    .map_err(|e| CliError::Run(format!("{key}: {e}")))?;
+            let _ = writeln!(
+                out,
+                "store at {dir}: {} streaming reference(s)",
+                replayed.len()
+            );
+            for agg in &replayed {
                 let _ = writeln!(
                     out,
-                    "  {key}: '{}' on {source} -> {target}",
-                    state.attribute()
+                    "  {}: '{}' on {} -> {} (rollup + {} partial(s) merged)",
+                    geoalign_core::persist::agg_key(agg.index),
+                    agg.state.attribute(),
+                    agg.source,
+                    agg.target,
+                    agg.partials_merged
                 );
-                format_agg_state(&mut out, &state, "    ");
+                format_agg_state(&mut out, &agg.state, "    ");
             }
             Ok(out)
         }
@@ -1237,6 +1247,56 @@ B,60
         assert!(parse_agg_args(&sv(&["inspect", "a", "b"])).is_err());
         assert!(parse_agg_args(&sv(&["merge", "out"])).is_err());
         assert!(parse_agg_args(&sv(&["bogus"])).is_err());
+    }
+
+    #[test]
+    fn agg_inspect_data_dir_merges_rollup_and_partials() {
+        let dir =
+            std::env::temp_dir().join(format!("geoalign-cli-agg-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let batches: [&[(usize, usize, f64)]; 3] = [
+            &[(0, 0, 2.5), (2, 1, 1.25)],
+            &[(0, 0, 0.5), (1, 1, 4.0)],
+            &[(2, 1, 0.75)],
+        ];
+        let mut whole = geoalign_agg::AggState::new("footfall", 3, 2).unwrap();
+        {
+            let state = geoalign_serve::AppState::open_durable(&dir, 4).unwrap();
+            {
+                let mut p = state.pipeline_mut();
+                p.register_system("zip", ["z1", "z2", "z3"]);
+                p.register_system("county", ["A", "B"]);
+            }
+            for (k, batch) in batches.iter().enumerate() {
+                let skipped = u64::from(k == 1);
+                state
+                    .ingest("zip", "county", "footfall", batch, skipped)
+                    .unwrap();
+                for &(si, ti, w) in *batch {
+                    whole.absorb(si, ti, w).unwrap();
+                }
+                if skipped == 1 {
+                    whole.record_skipped();
+                }
+            }
+        }
+        // The first batch is the rollup; the other two are partials. One
+        // streaming reference is reported, merged, not three.
+        let report = run_agg(&AggArgs::InspectStore(dir.to_string_lossy().into_owned())).unwrap();
+        assert!(report.contains("1 streaming reference(s)"), "{report}");
+        assert!(
+            report.contains(
+                "agg/00000000: 'footfall' on zip -> county (rollup + 2 partial(s) merged)"
+            ),
+            "{report}"
+        );
+        assert!(report.contains("points absorbed: 5"), "{report}");
+        assert!(report.contains("points skipped:  1"), "{report}");
+        let store = geoalign_store::Store::open(&dir).unwrap();
+        let replayed = geoalign_core::persist::replay_agg(&store).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(replayed[0].state.encode(), whole.encode());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

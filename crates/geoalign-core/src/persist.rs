@@ -18,9 +18,13 @@
 //! * `sys/<name>` — a unit system's identifier list;
 //! * `ref/<nnnnnnnn>` — one reference registration, in registration
 //!   order (the payload carries the system pair);
-//! * `agg/<nnnnnnnn>` — one streaming-ingest aggregate rollup, in
-//!   first-ingest order (the payload carries the system pair and the
-//!   full mergeable state, which subsumes every batch folded so far);
+//! * `agg/<nnnnnnnn>` — one streaming reference's aggregate rollup, in
+//!   first-ingest order (the payload carries the system pair and a
+//!   mergeable state: the first batch's, or after a compaction every
+//!   batch up to the partial it says it covers);
+//! * `agg/<nnnnnnnn>/<seq>` — one later batch's own partial state for
+//!   that streaming reference, sorting right after its rollup in batch
+//!   order. [`replay_agg`] merges a rollup with its partials;
 //! * `prep/<fingerprint>/<len>/<len>/<source><target>` — a prepared
 //!   crosswalk; the explicit lengths keep names containing `/`
 //!   unambiguous.
@@ -34,6 +38,7 @@ use geoalign_linalg::simplex_ls::{GramSystem, SimplexSolver};
 use geoalign_linalg::DMatrix;
 use geoalign_partition::{AggregateVector, DisaggregationMatrix};
 use geoalign_store::{ByteReader, ByteWriter};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Payload format version for every codec in this module.
@@ -69,6 +74,13 @@ pub fn reference_key(index: u64) -> String {
 /// keeping warm-start reference positions stable.
 pub fn agg_key(index: u64) -> String {
     format!("{AGG_PREFIX}{index:08}")
+}
+
+/// Store key of partial `seq` of the `index`-th streaming reference. It
+/// extends the rollup's key, so it sorts after that rollup and before the
+/// next one, and the zero-padded `seq` keeps partials in batch order.
+pub fn agg_partial_key(index: u64, seq: u64) -> String {
+    format!("{AGG_PREFIX}{index:08}/{seq:020}")
 }
 
 /// Store key of a prepared crosswalk.
@@ -176,28 +188,176 @@ pub fn encode_agg_rollup(source: &str, target: &str, state: &geoalign_agg::AggSt
     w.into_vec()
 }
 
-/// Decodes one rollup back into `(source, target, state)`.
+/// Payload version of a compacted rollup, which also records the highest
+/// partial sequence number merged into it.
+const AGG_COVERING_VERSION: u8 = 2;
+
+/// Encodes a compacted rollup: the streaming reference's state with every
+/// partial up to `covers` merged in. [`replay_agg`] skips partials whose
+/// sequence number is at most `covers`, so a crash after this record is
+/// written but before those partials are deleted never merges a batch
+/// twice.
+pub fn encode_agg_rollup_covering(
+    source: &str,
+    target: &str,
+    state: &geoalign_agg::AggState,
+    covers: u64,
+) -> Vec<u8> {
+    let state_bytes = state.encode();
+    let mut w = ByteWriter::with_capacity(40 + state_bytes.len());
+    w.u8(AGG_COVERING_VERSION);
+    w.str(source);
+    w.str(target);
+    w.u64(covers);
+    w.bytes(&state_bytes);
+    w.into_vec()
+}
+
+/// Decodes one rollup back into `(source, target, state)`. A compacted
+/// rollup's coverage is dropped; rebuild streaming references through
+/// [`replay_agg`], which honours it.
 pub fn decode_agg_rollup(
     bytes: &[u8],
 ) -> Result<(String, String, geoalign_agg::AggState), CoreError> {
+    decode_agg_rollup_covering(bytes).map(|(source, target, _, state)| (source, target, state))
+}
+
+/// Decodes either rollup form into `(source, target, covers, state)`; a
+/// first-batch rollup covers no partial (`covers == 0`).
+fn decode_agg_rollup_covering(
+    bytes: &[u8],
+) -> Result<(String, String, u64, geoalign_agg::AggState), CoreError> {
     let mut r = ByteReader::new(bytes);
-    let (source, target, state_bytes) = (|| {
+    let (source, target, covers, state_bytes) = (|| {
         let version = r.u8()?;
-        if version != CODEC_VERSION {
+        if version != CODEC_VERSION && version != AGG_COVERING_VERSION {
             return Err(geoalign_store::CodecError::new(format!(
                 "unsupported aggregate-rollup codec version {version}"
             )));
         }
         let source = r.str()?.to_owned();
         let target = r.str()?.to_owned();
+        let covers = if version == AGG_COVERING_VERSION {
+            r.u64()?
+        } else {
+            0
+        };
         let state_bytes = r.bytes()?;
         r.expect_end()?;
-        Ok((source, target, state_bytes))
+        Ok((source, target, covers, state_bytes))
     })()
     .map_err(|e| persist_err("aggregate rollup", e))?;
     let state = geoalign_agg::AggState::decode(state_bytes)
         .map_err(|e| persist_err("aggregate rollup", e))?;
-    Ok((source, target, state))
+    Ok((source, target, covers, state))
+}
+
+/// Encodes one batch's partial state. The system pair lives in the
+/// rollup the partial belongs to, so the payload is the state alone.
+pub fn encode_agg_partial(state: &geoalign_agg::AggState) -> Vec<u8> {
+    let state_bytes = state.encode();
+    let mut w = ByteWriter::with_capacity(16 + state_bytes.len());
+    w.u8(CODEC_VERSION);
+    w.bytes(&state_bytes);
+    w.into_vec()
+}
+
+/// Decodes one batch partial written by [`encode_agg_partial`].
+pub fn decode_agg_partial(bytes: &[u8]) -> Result<geoalign_agg::AggState, CoreError> {
+    let mut r = ByteReader::new(bytes);
+    let state_bytes = (|| {
+        let version = r.u8()?;
+        if version != CODEC_VERSION {
+            return Err(geoalign_store::CodecError::new(format!(
+                "unsupported aggregate-partial codec version {version}"
+            )));
+        }
+        let state_bytes = r.bytes()?;
+        r.expect_end()?;
+        Ok(state_bytes)
+    })()
+    .map_err(|e| persist_err("aggregate partial", e))?;
+    geoalign_agg::AggState::decode(state_bytes).map_err(|e| persist_err("aggregate partial", e))
+}
+
+/// One streaming reference rebuilt from its `agg/` records by
+/// [`replay_agg`].
+#[derive(Debug, Clone)]
+pub struct ReplayedAgg {
+    /// The `n` of its `agg/<n>` rollup key (first-ingest order).
+    pub index: u64,
+    /// Source system.
+    pub source: String,
+    /// Target system.
+    pub target: String,
+    /// The rollup with every partial it does not cover merged in.
+    pub state: geoalign_agg::AggState,
+    /// The highest partial sequence number the rollup already holds (0
+    /// for a first-batch rollup); partials up to it are skipped.
+    pub covers: u64,
+    /// How many partials were merged into the rollup.
+    pub partials_merged: usize,
+    /// The lowest partial sequence number whose record may still be in
+    /// the store (covered leftovers of an interrupted compaction
+    /// included); equal to `next_seq` when none is.
+    pub first_seq: u64,
+    /// The sequence number the next batch's partial takes: one past the
+    /// highest partial seen or covered.
+    pub next_seq: u64,
+}
+
+/// Turns a store's `agg/` records into one merged state per streaming
+/// reference, in first-ingest order — the single reader of the layout,
+/// shared by the server's warm start and `geoalign agg inspect`. Records
+/// merge in key order: each rollup, then its partials in sequence order,
+/// skipping the ones a compacted rollup covers. [`AggState::merge`] is
+/// split-invariant, so the result is bit-identical to the state the
+/// server held in memory, whether it had compacted or not.
+///
+/// [`AggState::merge`]: geoalign_agg::AggState::merge
+pub fn replay_agg(store: &geoalign_store::Store) -> Result<Vec<ReplayedAgg>, CoreError> {
+    let mut replayed: Vec<ReplayedAgg> = Vec::new();
+    for (key, bytes) in store.iter_prefix(AGG_PREFIX) {
+        let bad_key = || CoreError::Persist {
+            detail: format!("aggregate record: malformed key '{key}'"),
+        };
+        let rest = &key[AGG_PREFIX.len()..];
+        let (index, seq) = match rest.split_once('/') {
+            None => (rest, None),
+            Some((index, seq)) => (index, Some(seq.parse::<u64>().map_err(|_| bad_key())?)),
+        };
+        let index = index.parse::<u64>().map_err(|_| bad_key())?;
+        let Some(seq) = seq else {
+            let (source, target, covers, state) = decode_agg_rollup_covering(&bytes)?;
+            replayed.push(ReplayedAgg {
+                index,
+                source,
+                target,
+                state,
+                covers,
+                partials_merged: 0,
+                first_seq: covers + 1,
+                next_seq: covers + 1,
+            });
+            continue;
+        };
+        let Some(slot) = replayed.last_mut().filter(|slot| slot.index == index) else {
+            return Err(CoreError::Persist {
+                detail: format!("aggregate partial '{key}' has no rollup"),
+            });
+        };
+        slot.first_seq = slot.first_seq.min(seq);
+        if seq <= slot.covers {
+            continue;
+        }
+        let partial = decode_agg_partial(&bytes)?;
+        slot.state
+            .merge(&partial)
+            .map_err(|e| persist_err(&format!("aggregate partial '{key}'"), e))?;
+        slot.partials_merged += 1;
+        slot.next_seq = slot.next_seq.max(seq + 1);
+    }
+    Ok(replayed)
 }
 
 fn write_reference_data(w: &mut ByteWriter, r: &ReferenceData) {
@@ -355,7 +515,7 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
     }
     let mut refs = Vec::with_capacity(n_refs);
     for _ in 0..n_refs {
-        refs.push(read_reference_data(&mut r)?);
+        refs.push(Arc::new(read_reference_data(&mut r)?));
     }
     let design = read_dense(&mut r, "design matrix")?;
     let gram_matrix = read_dense(&mut r, "gram matrix")?;
@@ -536,6 +696,132 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode_agg_rollup(&extended).is_err());
+    }
+
+    fn state_of(points: &[(usize, usize, f64)], skipped: u64) -> geoalign_agg::AggState {
+        let mut state = geoalign_agg::AggState::new("pop", 3, 2).unwrap();
+        for &(si, ti, w) in points {
+            state.absorb(si, ti, w).unwrap();
+        }
+        for _ in 0..skipped {
+            state.record_skipped();
+        }
+        state
+    }
+
+    fn tmp_store(tag: &str) -> (std::path::PathBuf, geoalign_store::Store) {
+        let dir =
+            std::env::temp_dir().join(format!("geoalign-persist-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = geoalign_store::StoreOptions {
+            fsync: false,
+            ..Default::default()
+        };
+        let store = geoalign_store::Store::open_with(&dir, opts).unwrap();
+        (dir, store)
+    }
+
+    #[test]
+    fn agg_partial_and_covering_rollup_roundtrip() {
+        let state = state_of(&[(0, 1, 2.5), (2, 0, 1e-300)], 1);
+        let bytes = encode_agg_partial(&state);
+        assert_eq!(decode_agg_partial(&bytes).unwrap(), state);
+        for cut in 0..bytes.len() {
+            assert!(decode_agg_partial(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let rollup = encode_agg_rollup_covering("zip", "county", &state, 7);
+        assert_eq!(
+            decode_agg_rollup_covering(&rollup).unwrap(),
+            ("zip".to_owned(), "county".to_owned(), 7, state.clone())
+        );
+        for cut in 0..rollup.len() {
+            assert!(
+                decode_agg_rollup_covering(&rollup[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        // A first-batch rollup covers nothing.
+        let first = encode_agg_rollup("zip", "county", &state);
+        assert_eq!(decode_agg_rollup_covering(&first).unwrap().2, 0);
+        // Partials sort after their rollup, in batch order, before the
+        // next rollup.
+        assert!(agg_key(3) < agg_partial_key(3, 1));
+        assert!(agg_partial_key(3, 9) < agg_partial_key(3, 10));
+        assert!(agg_partial_key(3, u64::MAX) < agg_key(4));
+    }
+
+    #[test]
+    fn replay_merges_partials_and_skips_covered_ones() {
+        let (dir, store) = tmp_store("replay");
+        let batches = [
+            state_of(&[(0, 1, 2.5), (1, 1, 0.25)], 0),
+            state_of(&[(0, 1, -0.5), (2, 0, 4.0)], 2),
+            state_of(&[(1, 1, 1e-310)], 0),
+        ];
+        let mut whole = batches[0].clone();
+        whole.merge(&batches[1]).unwrap();
+        whole.merge(&batches[2]).unwrap();
+        let other = state_of(&[(2, 1, 9.0)], 0);
+
+        store
+            .put(&agg_key(0), encode_agg_rollup("zip", "county", &batches[0]))
+            .unwrap();
+        store
+            .put(&agg_key(1), encode_agg_rollup("zip", "tract", &other))
+            .unwrap();
+        for (seq, batch) in (1..).zip(&batches[1..]) {
+            store
+                .put(&agg_partial_key(0, seq), encode_agg_partial(batch))
+                .unwrap();
+        }
+        let replayed = replay_agg(&store).unwrap();
+        assert_eq!(replayed.len(), 2);
+        let zip = &replayed[0];
+        assert_eq!(
+            (zip.index, zip.source.as_str(), zip.target.as_str()),
+            (0, "zip", "county")
+        );
+        assert_eq!(
+            zip.state.encode(),
+            whole.encode(),
+            "bit-identical to one state"
+        );
+        assert_eq!(
+            (zip.partials_merged, zip.first_seq, zip.next_seq),
+            (2, 1, 3)
+        );
+        assert_eq!(replayed[1].state, other);
+        assert_eq!((replayed[1].first_seq, replayed[1].next_seq), (1, 1));
+
+        // A compaction that wrote its rollup but crashed before deleting
+        // the partials it covers: they are skipped, not merged again.
+        store
+            .put(
+                &agg_key(0),
+                encode_agg_rollup_covering("zip", "county", &whole, 2),
+            )
+            .unwrap();
+        let replayed = replay_agg(&store).unwrap();
+        assert_eq!(replayed[0].state.encode(), whole.encode());
+        assert_eq!(replayed[0].partials_merged, 0);
+        assert_eq!((replayed[0].first_seq, replayed[0].next_seq), (1, 3));
+        // A later batch after the compaction is merged on top.
+        let late = state_of(&[(0, 0, 1.0)], 0);
+        store
+            .put(&agg_partial_key(0, 3), encode_agg_partial(&late))
+            .unwrap();
+        whole.merge(&late).unwrap();
+        let replayed = replay_agg(&store).unwrap();
+        assert_eq!(replayed[0].state.encode(), whole.encode());
+        assert_eq!((replayed[0].partials_merged, replayed[0].next_seq), (1, 4));
+
+        // A partial with no rollup ahead of it is damage, not a batch.
+        store
+            .put(&agg_partial_key(7, 1), encode_agg_partial(&late))
+            .unwrap();
+        assert!(replay_agg(&store).is_err());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,6 +28,7 @@ use geoalign_linalg::simplex_ls::{self, GramSystem};
 use geoalign_linalg::{CsrMatrix, DMatrix, SolverScratch};
 use geoalign_obs::span;
 use geoalign_partition::AggregateVector;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reusable working memory for [`PreparedCrosswalk::apply_values`]: the
@@ -66,12 +67,16 @@ impl ApplyScratch {
 /// The value-independent snapshot of a crosswalk: everything
 /// [`GeoAlign::estimate`] computes that depends only on the references,
 /// ready to be applied to any number of objective vectors.
+///
+/// The references sit behind [`Arc`]s, so snapshots derived from one
+/// another by [`PreparedCrosswalk::with_reference_updated`] share every
+/// reference that did not change instead of copying it.
 #[derive(Debug, Clone)]
 pub struct PreparedCrosswalk {
     // Fields are crate-visible so `persist` can take a snapshot apart and
     // reassemble a byte-identical one from disk.
     pub(crate) config: GeoAlignConfig,
-    pub(crate) refs: Vec<ReferenceData>,
+    pub(crate) refs: Vec<Arc<ReferenceData>>,
     /// Stacked source-level reference matrix of Eq. 15 (normalized
     /// per-column when the config says so).
     pub(crate) design: DMatrix,
@@ -99,7 +104,8 @@ pub struct CrosswalkEstimate {
 impl GeoAlign {
     /// Snapshots the objective-independent half of Algorithm 1 for the
     /// given references. The returned [`PreparedCrosswalk`] owns copies of
-    /// the references and can be applied to any number of objective
+    /// the references (shared with the snapshots the delta path derives
+    /// from it) and can be applied to any number of objective
     /// vectors — including concurrently, since applying is `&self`.
     pub fn prepare(&self, refs: &[&ReferenceData]) -> Result<PreparedCrosswalk, CoreError> {
         let t0 = Instant::now();
@@ -131,7 +137,7 @@ impl GeoAlign {
         );
         let prepared = PreparedCrosswalk {
             config: *self.config(),
-            refs: refs.iter().map(|&r| r.clone()).collect(),
+            refs: refs.iter().map(|&r| Arc::new(r.clone())).collect(),
             design,
             gram,
             row_sums_per_ref,
@@ -165,7 +171,7 @@ impl PreparedCrosswalk {
     }
 
     /// The snapshotted references, in supply order.
-    pub fn references(&self) -> &[ReferenceData] {
+    pub fn references(&self) -> &[Arc<ReferenceData>] {
         &self.refs
     }
 
@@ -193,14 +199,19 @@ impl PreparedCrosswalk {
     /// whole. This is what lets a streaming server fold `/ingest` batches
     /// in and still answer exactly like a cold batch run.
     ///
+    /// Every other reference is shared with `self` (an [`Arc`] clone, not
+    /// a copy), so the cost does not grow with the static references'
+    /// sizes.
+    ///
     /// Returns the new snapshot plus the number of *touched rows*: source
     /// units whose design-column value actually changed (all nonzero rows,
     /// for an append).
     pub fn with_reference_updated(
         &self,
         index: usize,
-        reference: ReferenceData,
+        reference: impl Into<Arc<ReferenceData>>,
     ) -> Result<(PreparedCrosswalk, usize), CoreError> {
+        let reference = reference.into();
         let t0 = Instant::now();
         let _span = span!("incremental_prepare", index = index);
         if index > self.refs.len() {

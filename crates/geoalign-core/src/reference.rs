@@ -43,6 +43,50 @@ impl ReferenceData {
         })
     }
 
+    /// The streaming fold's delta path: this reference with the
+    /// disaggregation-matrix entries at `cells` set to the given values
+    /// (`(source, target, value)` in strictly increasing `(source,
+    /// target)` order) and only the touched rows' source totals summed
+    /// again. For a reference whose source totals are its matrix's row
+    /// sums — every one [`ReferenceData::from_dm`] builds — the result is
+    /// bit-identical to `from_dm` over the patched matrix, and the checks
+    /// fail with the errors [`DisaggregationMatrix::from_triples`] and
+    /// `from_dm` raise, in their order of precedence: any non-finite cell,
+    /// then the first negative cell, then a touched row whose total is not
+    /// finite. Cells set to zero drop their entries. Costs one linear pass
+    /// over the matrix and the source vector plus the touched rows.
+    pub fn with_dm_cells_set(&self, cells: &[(usize, usize, f64)]) -> Result<Self, CoreError> {
+        use geoalign_partition::PartitionError;
+        if cells.iter().any(|&(_, _, v)| !v.is_finite()) {
+            return Err(PartitionError::Linalg(geoalign_linalg::LinalgError::NonFinite).into());
+        }
+        if let Some(&(index, _, value)) = cells.iter().find(|&&(_, _, v)| v < 0.0) {
+            return Err(PartitionError::NegativeAggregate { index, value }.into());
+        }
+        let matrix = self
+            .dm
+            .matrix()
+            .with_entries_set(cells)
+            .map_err(PartitionError::Linalg)?;
+        let dm = DisaggregationMatrix::new(self.dm.attribute(), matrix)?;
+        let mut totals = self.source.values().to_vec();
+        let mut last_row = None;
+        for &(i, _, _) in cells {
+            if last_row != Some(i) {
+                // The summation `CsrMatrix::row_sums` runs.
+                totals[i] = dm.matrix().row(i).1.iter().sum();
+                last_row = Some(i);
+            }
+        }
+        let source =
+            AggregateVector::new(self.source.attribute(), totals).map_err(CoreError::Partition)?;
+        Ok(Self {
+            name: self.name.clone(),
+            source,
+            dm,
+        })
+    }
+
     /// Reference name.
     pub fn name(&self) -> &str {
         &self.name
@@ -151,6 +195,48 @@ mod tests {
             validate_references(2, &[&a, &c]),
             Err(CoreError::SourceMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn setting_dm_cells_matches_from_dm_and_its_errors() {
+        let base = ReferenceData::from_dm("r", dm(3, 2, &[(0, 0, 1.0), (0, 1, 2.0), (2, 1, 4.0)]))
+            .unwrap();
+        let patched = base
+            .with_dm_cells_set(&[(0, 1, 0.0), (1, 0, 0.1), (1, 1, 0.2)])
+            .unwrap();
+        let want = ReferenceData::from_dm(
+            "r",
+            dm(3, 2, &[(0, 0, 1.0), (1, 0, 0.1), (1, 1, 0.2), (2, 1, 4.0)]),
+        )
+        .unwrap();
+        assert_eq!(patched.dm().matrix(), want.dm().matrix());
+        let bits = |r: &ReferenceData| -> Vec<u64> {
+            r.source().values().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&patched), bits(&want));
+        assert_eq!(patched.name(), "r");
+
+        // Non-finite wins over an earlier negative cell, as the COO push
+        // rejects it before the matrix checks signs.
+        let err = base
+            .with_dm_cells_set(&[(0, 0, -1.0), (2, 0, f64::INFINITY)])
+            .unwrap_err();
+        let coo_err =
+            DisaggregationMatrix::from_triples("r", 3, 2, [(0, 0, -1.0), (2, 0, f64::INFINITY)])
+                .unwrap_err();
+        assert_eq!(err, CoreError::Partition(coo_err));
+        let err = base
+            .with_dm_cells_set(&[(1, 0, -2.0), (2, 0, -3.0)])
+            .unwrap_err();
+        let dm_err = DisaggregationMatrix::from_triples("r", 3, 2, [(1, 0, -2.0), (2, 0, -3.0)])
+            .unwrap_err();
+        assert_eq!(err, CoreError::Partition(dm_err));
+        // Finite cells whose row total overflows fail like from_dm.
+        let err = base
+            .with_dm_cells_set(&[(2, 0, f64::MAX), (2, 1, f64::MAX)])
+            .unwrap_err();
+        let overflow = dm(3, 2, &[(2, 0, f64::MAX), (2, 1, f64::MAX)]);
+        assert_eq!(err, ReferenceData::from_dm("r", overflow).unwrap_err());
     }
 
     #[test]

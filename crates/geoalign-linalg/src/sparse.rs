@@ -158,6 +158,104 @@ impl CsrMatrix {
         }
     }
 
+    /// A copy with the entries at `cells` set to the given values, built
+    /// in one linear pass over this matrix: untouched rows are copied in
+    /// bulk and only the touched rows are merged entry by entry. `cells`
+    /// are `(row, col, value)` in strictly increasing `(row, col)` order.
+    /// A cell set to zero (either sign) is dropped, the way
+    /// [`CooMatrix::to_csr`] drops entries that cancel; every other cell
+    /// is stored whether or not it was before. Values are stored as given
+    /// — checking them is the caller's job, as it is for a
+    /// [`CooMatrix`]'s — so the result equals `to_csr` over this matrix's
+    /// entries with the touched ones replaced.
+    pub fn with_entries_set(
+        &self,
+        cells: &[(usize, usize, f64)],
+    ) -> Result<CsrMatrix, LinalgError> {
+        let mut last: Option<(usize, usize)> = None;
+        for &(i, j, _) in cells {
+            if i >= self.rows {
+                return Err(LinalgError::IndexOutOfBounds {
+                    index: i,
+                    bound: self.rows,
+                });
+            }
+            if j >= self.cols {
+                return Err(LinalgError::IndexOutOfBounds {
+                    index: j,
+                    bound: self.cols,
+                });
+            }
+            if last.is_some_and(|prev| prev >= (i, j)) {
+                return Err(LinalgError::ShapeMismatch {
+                    op: "with_entries_set: cells out of (row, col) order",
+                    left: last.unwrap_or_default(),
+                    right: (i, j),
+                });
+            }
+            last = Some((i, j));
+        }
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0u32);
+        let mut col_idx = Vec::with_capacity(self.nnz() + cells.len());
+        let mut values = Vec::with_capacity(self.nnz() + cells.len());
+        // Old entries before `copied` are placed; rows before `next_row`
+        // have their end pointers. An untouched row keeps its length, so
+        // its end pointer is the old one shifted by the net change so far.
+        let (mut copied, mut next_row) = (0usize, 0usize);
+        let mut rest = cells;
+        while let Some(&(i, _, _)) = rest.first() {
+            let n = rest.iter().take_while(|c| c.0 == i).count();
+            let (row_cells, tail) = rest.split_at(n);
+            rest = tail;
+            let (s, e) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
+            let shift = col_idx.len() as i64 - copied as i64;
+            col_idx.extend_from_slice(&self.col_idx[copied..s]);
+            values.extend_from_slice(&self.values[copied..s]);
+            row_ptr.extend(
+                self.row_ptr[next_row + 1..=i]
+                    .iter()
+                    .map(|&p| (p as i64 + shift) as u32),
+            );
+            let mut k = s;
+            for &(_, j, v) in row_cells {
+                let j = j as u32;
+                while k < e && self.col_idx[k] < j {
+                    col_idx.push(self.col_idx[k]);
+                    values.push(self.values[k]);
+                    k += 1;
+                }
+                if k < e && self.col_idx[k] == j {
+                    k += 1;
+                }
+                if v != 0.0 {
+                    col_idx.push(j);
+                    values.push(v);
+                }
+            }
+            col_idx.extend_from_slice(&self.col_idx[k..e]);
+            values.extend_from_slice(&self.values[k..e]);
+            row_ptr.push(col_idx.len() as u32);
+            copied = e;
+            next_row = i + 1;
+        }
+        let shift = col_idx.len() as i64 - copied as i64;
+        col_idx.extend_from_slice(&self.col_idx[copied..]);
+        values.extend_from_slice(&self.values[copied..]);
+        row_ptr.extend(
+            self.row_ptr[next_row + 1..]
+                .iter()
+                .map(|&p| (p as i64 + shift) as u32),
+        );
+        Ok(CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
     /// Row sums: `out[i] = Σ_j a[i, j]`.
     pub fn row_sums(&self) -> Vec<f64> {
         (0..self.rows)
@@ -462,6 +560,96 @@ mod tests {
         let csr = coo.to_csr();
         assert_eq!(csr.get(0, 0), 3.0);
         assert_eq!(csr.nnz(), 1); // the cancelled entry is dropped
+    }
+
+    #[test]
+    fn setting_entries_replaces_inserts_and_drops() {
+        let m = sample();
+        // Replace (0,2), drop (2,0), insert (1,1) and (2,2); a zero on an
+        // absent cell stays absent.
+        let cells = [
+            (0, 1, 0.0),
+            (0, 2, 5.0),
+            (1, 1, 6.0),
+            (2, 0, -0.0),
+            (2, 2, 7.0),
+        ];
+        let patched = m.with_entries_set(&cells).unwrap();
+        let mut coo = CooMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 1.0),
+            (0, 2, 5.0),
+            (1, 1, 6.0),
+            (2, 1, 4.0),
+            (2, 2, 7.0),
+        ] {
+            coo.push(i, j, v).unwrap();
+        }
+        assert_eq!(patched, coo.to_csr());
+        assert_eq!(m.with_entries_set(&[]).unwrap(), m);
+        // Bounds and order are checked before anything is built.
+        assert!(m.with_entries_set(&[(3, 0, 1.0)]).is_err());
+        assert!(m.with_entries_set(&[(0, 3, 1.0)]).is_err());
+        assert!(m.with_entries_set(&[(1, 1, 1.0), (1, 1, 2.0)]).is_err());
+        assert!(m.with_entries_set(&[(2, 0, 1.0), (1, 1, 2.0)]).is_err());
+    }
+
+    #[test]
+    fn setting_entries_matches_coo_on_seeded_random_matrices() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for round in 0..200 {
+            let rows = 1 + (next() * 12.0) as usize;
+            let cols = 1 + (next() * 9.0) as usize;
+            let density = next();
+            let mut base = std::collections::BTreeMap::new();
+            for i in 0..rows {
+                for j in 0..cols {
+                    if next() < density {
+                        base.insert((i, j), 0.5 + next() * 10.0);
+                    }
+                }
+            }
+            // Patch a random subset of cells: replaced, inserted, zeroed
+            // (both signs), on rows with and without stored entries.
+            let mut cells = Vec::new();
+            for i in 0..rows {
+                for j in 0..cols {
+                    if next() < 0.25 {
+                        let v = match (next() * 4.0) as usize {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => next() * 100.0,
+                        };
+                        cells.push((i, j, v));
+                    }
+                }
+            }
+            let mut coo = CooMatrix::new(rows, cols);
+            for (&(i, j), &v) in &base {
+                coo.push(i, j, v).unwrap();
+            }
+            let m = coo.to_csr();
+            let mut want = base.clone();
+            for &(i, j, v) in &cells {
+                want.insert((i, j), v);
+            }
+            let mut coo = CooMatrix::new(rows, cols);
+            for (&(i, j), &v) in &want {
+                coo.push(i, j, v).unwrap();
+            }
+            let want = coo.to_csr();
+            let got = m.with_entries_set(&cells).unwrap();
+            assert_eq!(got.row_ptr, want.row_ptr, "round {round}: row pointers");
+            assert_eq!(got.col_idx, want.col_idx, "round {round}: columns");
+            let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "round {round}: values");
+        }
     }
 
     #[test]

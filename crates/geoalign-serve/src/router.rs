@@ -634,17 +634,18 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
     Ok(Response::json(out))
 }
 
-/// `POST /checkpoint` — flushes the write-behind persister, snapshots the
-/// durable store, and truncates the WAL. `409` when the server runs
+/// `POST /checkpoint` — compacts the streaming references' batch
+/// partials into their rollups, flushes the write-behind persister,
+/// snapshots the durable store, and truncates the WAL. `409` when the server runs
 /// without `--data-dir` (there is nothing to checkpoint).
 fn post_checkpoint(state: &AppState) -> Result<Response, HttpError> {
-    let Some(backing) = state.durable() else {
+    if state.durable().is_none() {
         return Err(HttpError {
             status: 409,
             message: "no durable store: server started without --data-dir".to_owned(),
         });
-    };
-    let report = backing.checkpoint().map_err(|e| core_error(&e))?;
+    }
+    let report = state.checkpoint().map_err(|e| core_error(&e))?;
     Ok(Response::json(
         Json::object([
             ("seq", Json::Number(report.seq as f64)),
@@ -2246,6 +2247,400 @@ mod tests {
                 assert_same_answer(&typed, &tree_state, path, body.as_bytes());
                 let counted = typed.metrics.depth_limit_rejections.get() - before;
                 assert_eq!(counted, u64::from(too_deep), "{path} at {n} levels");
+            }
+        }
+    }
+
+    /// The reference side of `in_place_fold_answers_like_the_whole_state_fold`:
+    /// `/ingest` and `/ingest/state` exactly as routed, but folded by the
+    /// whole-state fold the in-place one replaced.
+    fn whole_state_ingest(state: &AppState, req: &Request) -> Response {
+        let answer = || -> Result<Response, HttpError> {
+            if req.path == "/ingest/state" {
+                let doc = parse_body(state, req)?;
+                let source = str_field(&doc, "source")?;
+                let target = str_field(&doc, "target")?;
+                let attribute = str_field(&doc, "attribute")?;
+                let bytes = hex_decode(str_field(&doc, "state")?).ok_or_else(|| {
+                    HttpError::bad_request("'state' must be an even-length hex string")
+                })?;
+                let batch = AggState::decode(&bytes).map_err(|e| {
+                    HttpError::bad_request(format!("undecodable ingest state: {e}"))
+                })?;
+                let outcome = state
+                    .ingest_state_whole_state(source, target, attribute, batch)
+                    .map_err(|e| core_error(&e))?;
+                return Ok(ingest_response(attribute, source, target, &outcome));
+            }
+            let body = decode_body(state, req, |text| json::parse_triples(text, "points"))?;
+            let batch = parse_ingest_batch(state, &body)?;
+            state
+                .metrics
+                .ingest_batch_points
+                .record_value(batch.total as u64);
+            let outcome = state
+                .ingest_whole_state(
+                    batch.source,
+                    batch.target,
+                    batch.attribute,
+                    &batch.points,
+                    batch.unknown,
+                )
+                .map_err(|e| core_error(&e))?;
+            Ok(ingest_response(
+                batch.attribute,
+                batch.source,
+                batch.target,
+                &outcome,
+            ))
+        };
+        answer().unwrap_or_else(Response::from)
+    }
+
+    const FOLD_ZIPS: [&str; 6] = ["z0", "z1", "z2", "z3", "z4", "z5"];
+    const FOLD_COUNTIES: [&str; 4] = ["A", "B", "C", "D"];
+
+    fn fold_world() -> std::sync::Arc<AppState> {
+        let state = AppState::new(8);
+        for (path, body) in [
+            (
+                "/systems",
+                r#"{"name":"zip","units":["z0","z1","z2","z3","z4","z5"]}"#,
+            ),
+            ("/systems", r#"{"name":"county","units":["A","B","C","D"]}"#),
+            (
+                "/references",
+                r#"{"source":"zip","target":"county","name":"population",
+                   "entries":[["z0","A",100],["z1","A",60],["z1","B",40],["z2","C",80],
+                              ["z3","C",5],["z3","D",7],["z4","D",30],["z5","B",12]]}"#,
+            ),
+        ] {
+            let r = route(&state, &request("POST", path, body));
+            assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        }
+        state
+    }
+
+    fn points_body(attribute: &str, points: &[(&str, &str, f64)]) -> String {
+        let items: Vec<String> = points
+            .iter()
+            .map(|(s, t, w)| format!(r#"["{s}","{t}",{w:e}]"#))
+            .collect();
+        format!(
+            r#"{{"source":"zip","target":"county","attribute":"{attribute}","points":[{}]}}"#,
+            items.join(",")
+        )
+    }
+
+    /// The bits both folds must agree on after every step: every
+    /// reference of the pair (CSR structure, values and source totals),
+    /// the memoized fingerprint, and the cache entry under the pair's key.
+    fn assert_same_fold_state(new: &AppState, old: &AppState, step: &str) {
+        let bits = |r: &ReferenceData| {
+            let cells: Vec<(usize, usize, u64)> = r
+                .dm()
+                .matrix()
+                .iter()
+                .map(|(i, j, v)| (i, j, v.to_bits()))
+                .collect();
+            let totals: Vec<u64> = r.source().values().iter().map(|v| v.to_bits()).collect();
+            (r.name().to_owned(), cells, totals)
+        };
+        let (key_new, key_old) = {
+            let (pn, po) = (new.pipeline(), old.pipeline());
+            let (rn, ro) = (
+                pn.references("zip", "county"),
+                po.references("zip", "county"),
+            );
+            assert_eq!(rn.len(), ro.len(), "{step}: reference count");
+            for (a, b) in rn.iter().zip(ro) {
+                assert_eq!(a.dm().matrix(), b.dm().matrix(), "{step}: CSR");
+                assert_eq!(bits(a), bits(b), "{step}: reference bits");
+            }
+            let refs: Vec<&ReferenceData> = rn.iter().collect();
+            assert_eq!(
+                pn.fingerprint("zip", "county"),
+                geoalign_core::fingerprint_references(&refs),
+                "{step}: the memo equals a full pass"
+            );
+            let key = |p: &geoalign_core::IntegrationPipeline| geoalign_core::CrosswalkKey {
+                source: "zip".to_owned(),
+                target: "county".to_owned(),
+                fingerprint: p.fingerprint("zip", "county"),
+            };
+            (key(&pn), key(&po))
+        };
+        assert_eq!(key_new, key_old, "{step}: fingerprint");
+        assert_eq!(new.cache.len(), old.cache.len(), "{step}: cache entries");
+        assert_eq!(
+            new.cache.get(&key_new).is_some(),
+            old.cache.get(&key_old).is_some(),
+            "{step}: cached entry under the pair's key"
+        );
+    }
+
+    /// Sends `req` to both states (the new fold through `route`, the
+    /// reference through `whole_state_ingest`), asserts the same status
+    /// and body, then the same fold state, and the same answer to a
+    /// following `/crosswalk` when `crosswalk` is set. Returns the status.
+    fn assert_same_fold(
+        new: &AppState,
+        old: &AppState,
+        req: &Request,
+        crosswalk: bool,
+        step: &str,
+    ) -> u16 {
+        let got = route(new, req);
+        let want = whole_state_ingest(old, req);
+        assert_eq!(got.status, want.status, "{step}");
+        assert_eq!(
+            String::from_utf8_lossy(&got.body),
+            String::from_utf8_lossy(&want.body),
+            "{step}"
+        );
+        assert_same_fold_state(new, old, step);
+        if crosswalk {
+            assert_same_crosswalk(new, old, step);
+        }
+        got.status
+    }
+
+    /// The same `/crosswalk` on both states: same status and body bytes
+    /// (`cache_hit` included), and the same fold state after it.
+    fn assert_same_crosswalk(new: &AppState, old: &AppState, step: &str) {
+        let body = r#"{"source":"zip","target":"county","attributes":[{"name":"a","values":[3,1.5,8,0.25,6,2]},{"name":"b","values":[0,4,1e-3,9,2.5,7]}]}"#;
+        let req = request("POST", "/crosswalk", body);
+        let (got, want) = (route(new, &req), route(old, &req));
+        assert_eq!(got.status, want.status, "{step}: crosswalk");
+        assert_eq!(got.body, want.body, "{step}: crosswalk body");
+        assert_same_fold_state(new, old, step);
+    }
+
+    /// `AppState::ingest` straight, so weights the router would reject
+    /// (negative ones) reach the fold; answered as the route would.
+    fn assert_same_direct_fold(
+        new: &AppState,
+        old: &AppState,
+        attribute: &str,
+        points: &[(usize, usize, f64)],
+        step: &str,
+    ) -> u16 {
+        let answer = |result: Result<IngestOutcome, CoreError>| match result {
+            Ok(outcome) => ingest_response(attribute, "zip", "county", &outcome),
+            Err(e) => Response::from(core_error(&e)),
+        };
+        let got = answer(new.ingest("zip", "county", attribute, points, 1));
+        let want = answer(old.ingest_whole_state("zip", "county", attribute, points, 1));
+        assert_eq!(got.status, want.status, "{step}");
+        assert_eq!(
+            String::from_utf8_lossy(&got.body),
+            String::from_utf8_lossy(&want.body),
+            "{step}"
+        );
+        assert_same_fold_state(new, old, step);
+        got.status
+    }
+
+    fn ingest_state_request(
+        state: &AppState,
+        attribute: &str,
+        parts: &[&[(usize, usize, f64)]],
+    ) -> Request {
+        let mut merged: Option<AggState> = None;
+        for part in parts {
+            let partial = state
+                .ingest_partial("zip", "county", attribute, part, 1)
+                .unwrap();
+            match &mut merged {
+                Some(m) => m.merge(&partial).unwrap(),
+                None => merged = Some(partial),
+            }
+        }
+        let hex = hex_encode(&merged.expect("at least one part").encode());
+        request(
+            "POST",
+            "/ingest/state",
+            &format!(
+                r#"{{"source":"zip","target":"county","attribute":"{attribute}","state":"{hex}"}}"#
+            ),
+        )
+    }
+
+    #[test]
+    fn in_place_fold_answers_like_the_whole_state_fold() {
+        let (new, old) = (fold_world(), fold_world());
+        let ingest = |attribute: &str, points: &[(&str, &str, f64)]| {
+            request("POST", "/ingest", &points_body(attribute, points))
+        };
+        let nnz = |state: &AppState| state.pipeline().references("zip", "county")[1].dm().nnz();
+        assert_same_crosswalk(&new, &old, "warm");
+
+        // A first batch with repeated cells, then one touching existing
+        // and new cells, then one touching no existing cell.
+        let first = [
+            ("z0", "A", 2.5),
+            ("z0", "A", 2.5),
+            ("z1", "B", 0.75),
+            ("zX", "A", 1.0),
+        ];
+        assert_eq!(
+            assert_same_fold(&new, &old, &ingest("visits", &first), true, "first"),
+            200
+        );
+        let later = [("z0", "A", 1.0), ("z1", "A", 4.0), ("z1", "B", 0.25)];
+        assert_eq!(
+            assert_same_fold(&new, &old, &ingest("visits", &later), true, "later"),
+            200
+        );
+        let fresh = [("z4", "D", 3.0), ("z5", "C", 0.5)];
+        assert_eq!(
+            assert_same_fold(&new, &old, &ingest("visits", &fresh), true, "fresh"),
+            200
+        );
+
+        // Weights that cancel a cell to exactly zero drop its entry.
+        let before = nnz(&new);
+        assert_eq!(
+            assert_same_direct_fold(&new, &old, "visits", &[(0, 0, -6.0), (2, 2, 1.0)], "cancel"),
+            200
+        );
+        assert_eq!(nnz(&new), before, "(z0, A) dropped, (z2, C) added");
+        assert_eq!(
+            new.slot_state("zip", "county", "visits").unwrap().n_cells(),
+            before + 1
+        );
+
+        // Failing folds change nothing: a negative cell, a cell summing
+        // past f64::MAX, and a row total that does (every cell finite).
+        let snapshot = |state: &AppState| {
+            let pipeline = state.pipeline();
+            let r = &pipeline.references("zip", "county")[1];
+            (
+                state
+                    .slot_state("zip", "county", "visits")
+                    .unwrap()
+                    .encode(),
+                r.dm().matrix().clone(),
+                pipeline.fingerprint("zip", "county"),
+                state.cache.len(),
+            )
+        };
+        let grow = [(3, 0, f64::MAX / 2.0)];
+        assert_eq!(
+            assert_same_direct_fold(&new, &old, "visits", &grow, "huge"),
+            200
+        );
+        for (step, points) in [
+            ("negative", &[(1, 1, -2.0), (5, 2, 1.0)][..]),
+            (
+                "negative behind non-finite",
+                &[(1, 1, -2.0), (3, 0, f64::MAX)][..],
+            ),
+            ("row overflow", &[(3, 1, f64::MAX)][..]),
+        ] {
+            let unchanged = snapshot(&new);
+            assert_eq!(
+                assert_same_direct_fold(&new, &old, "visits", points, step),
+                400
+            );
+            assert_eq!(snapshot(&new), unchanged, "{step}: nothing changed");
+        }
+
+        // Subnormal weights, and `/ingest/state` with merged partials —
+        // first for a second streaming reference, then into it.
+        let tiny = [
+            ("z3", "A", 5e-324),
+            ("z3", "A", 5e-324),
+            ("z2", "D", 2.5e-320),
+        ];
+        assert_eq!(
+            assert_same_fold(&new, &old, &ingest("visits", &tiny), true, "subnormal"),
+            200
+        );
+        for (step, parts) in [
+            (
+                "state first",
+                &[&[(0, 1, 2.0), (4, 3, 1.0)][..], &[(0, 1, 0.5)][..]][..],
+            ),
+            (
+                "state later",
+                &[&[(0, 1, 1.0), (5, 1, 3.0)][..], &[(2, 2, 0.125)][..]][..],
+            ),
+        ] {
+            let req = ingest_state_request(&new, "sales", parts);
+            assert_eq!(assert_same_fold(&new, &old, &req, true, step), 200);
+        }
+
+        // A system re-registered with another size: the next batch's
+        // state no longer merges into the slot's.
+        let resize = |units: &str| {
+            let body = format!(r#"{{"name":"zip","units":[{units}]}}"#);
+            for state in [&new, &old] {
+                let r = route(state, &request("POST", "/systems", &body));
+                assert_eq!(r.status, 200);
+            }
+        };
+        resize(r#""z0","z1","z2","z3","z4","z5","z6""#);
+        assert_eq!(
+            assert_same_fold(&new, &old, &ingest("visits", &later), true, "resized"),
+            400
+        );
+        assert_eq!(
+            assert_same_direct_fold(&new, &old, "visits", &[(6, 0, 1.0)], "resized direct"),
+            400
+        );
+        resize(r#""z0","z1","z2","z3","z4","z5""#);
+
+        // A seeded stream over both attributes, with and without a warm
+        // cache, through every entry point.
+        let mut rng = Rng(0x6a09_e667_f3bc_c908);
+        let weights = [0.5, 1.0, 2.25, 7.0, 1e-3, 5e-324, 1e300];
+        for n in 0..300 {
+            let attribute = ["visits", "sales", "trips"][rng.below(3)];
+            let crosswalk = rng.below(3) != 0;
+            let len = 1 + rng.below(8);
+            let step = format!("stream {n}");
+            match rng.below(5) {
+                0 => {
+                    let points: Vec<(usize, usize, f64)> = (0..len)
+                        .map(|_| {
+                            let w = weights[rng.below(weights.len())];
+                            let sign = if rng.below(4) == 0 { -1.0 } else { 1.0 };
+                            (rng.below(6), rng.below(4), sign * w)
+                        })
+                        .collect();
+                    assert_same_direct_fold(&new, &old, attribute, &points, &step);
+                }
+                1 => {
+                    let parts: Vec<Vec<(usize, usize, f64)>> = (0..1 + rng.below(3))
+                        .map(|_| {
+                            (0..len)
+                                .map(|_| (rng.below(6), rng.below(4), weights[rng.below(4)]))
+                                .collect()
+                        })
+                        .collect();
+                    let parts: Vec<&[(usize, usize, f64)]> =
+                        parts.iter().map(Vec::as_slice).collect();
+                    let req = ingest_state_request(&new, attribute, &parts);
+                    assert_same_fold(&new, &old, &req, crosswalk, &step);
+                }
+                _ => {
+                    let points: Vec<(&str, &str, f64)> = (0..len)
+                        .map(|_| {
+                            let zip = if rng.below(10) == 0 {
+                                "zX"
+                            } else {
+                                FOLD_ZIPS[rng.below(6)]
+                            };
+                            (
+                                zip,
+                                FOLD_COUNTIES[rng.below(4)],
+                                weights[rng.below(weights.len())],
+                            )
+                        })
+                        .collect();
+                    assert_same_fold(&new, &old, &ingest(attribute, &points), crosswalk, &step);
+                }
             }
         }
     }

@@ -72,13 +72,19 @@ pub type RouteOverride =
     Arc<dyn Fn(&crate::http::Request) -> Option<crate::http::Response> + Send + Sync>;
 
 /// One streaming reference fed by `/ingest`: its durable rollup key, its
-/// position within the pair's reference list, and the mergeable state
-/// every batch so far has been folded into.
+/// position within the pair's reference list, the mergeable state every
+/// batch so far has been folded into, and the sequence numbers of the
+/// batch partials logged since its rollup was last written.
 #[derive(Debug)]
 struct IngestSlot {
     agg_index: u64,
     position: usize,
     state: AggState,
+    /// The lowest partial `agg/<n>/<seq>` whose record may still be in
+    /// the store: the next compaction deletes `first_seq..next_seq`.
+    first_seq: u64,
+    /// The sequence number the next batch's partial is logged under.
+    next_seq: u64,
 }
 
 /// All streaming references, keyed by `(source, target, attribute)`.
@@ -213,30 +219,28 @@ impl AppState {
                 next_ref_index = next_ref_index.max(idx + 1);
             }
         }
-        // `agg/<nnnnnnnn>` keys sort in first-ingest order. Streaming
-        // references append after the replayed static registrations, so
-        // warm positions match the cold server's as long as a pair's
-        // static references are all registered before its first ingest
-        // (the supported ordering; DESIGN.md §12).
+        // Streaming references replay in first-ingest order, each one its
+        // rollup merged with its logged partials. They append after the
+        // replayed static registrations, so warm positions match the cold
+        // server's as long as a pair's static references are all
+        // registered before its first ingest (the supported ordering;
+        // DESIGN.md §12).
         let mut ingest = IngestRegistry::default();
-        for (key, bytes) in backing.store().iter_prefix(persist::AGG_PREFIX) {
-            let (source, target, state) = persist::decode_agg_rollup(&bytes)?;
-            let dm = DisaggregationMatrix::from_state(&state).map_err(CoreError::from)?;
-            let reference = ReferenceData::from_dm(state.attribute(), dm)?;
-            let position = pipeline.reference_count(&source, &target);
-            pipeline.register_reference(&source, &target, reference)?;
-            let agg_index = key
-                .strip_prefix(persist::AGG_PREFIX)
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(ingest.next_index);
-            ingest.next_index = ingest.next_index.max(agg_index + 1);
-            let attribute = state.attribute().to_owned();
+        for agg in persist::replay_agg(backing.store())? {
+            let dm = DisaggregationMatrix::from_state(&agg.state).map_err(CoreError::from)?;
+            let reference = ReferenceData::from_dm(agg.state.attribute(), dm)?;
+            let position = pipeline.reference_count(&agg.source, &agg.target);
+            pipeline.register_reference(&agg.source, &agg.target, reference)?;
+            ingest.next_index = ingest.next_index.max(agg.index + 1);
+            let attribute = agg.state.attribute().to_owned();
             ingest.slots.insert(
-                (source, target, attribute),
+                (agg.source, agg.target, attribute),
                 IngestSlot {
-                    agg_index,
+                    agg_index: agg.index,
                     position,
-                    state,
+                    state: agg.state,
+                    first_seq: agg.first_seq,
+                    next_seq: agg.next_seq,
                 },
             );
         }
@@ -374,32 +378,75 @@ impl AppState {
         Ok(())
     }
 
-    /// Writes a streaming-ingest rollup through to the durable store
-    /// under its assigned `agg/<nnnnnnnn>` key. Each fold overwrites the
-    /// previous rollup for the slot — the mergeable state subsumes every
-    /// batch — so warm-start replay reads one record per streaming
-    /// reference. Synchronous, like [`Self::persist_reference`], and for
-    /// the same reason called under the pipeline write lock.
-    fn persist_agg_rollup(
-        &self,
-        index: u64,
-        source: &str,
-        target: &str,
-        state: &AggState,
-    ) -> Result<(), CoreError> {
+    /// Writes one streaming-ingest record through to the durable store:
+    /// a slot's first-batch rollup `agg/<n>` or a later batch's partial
+    /// `agg/<n>/<seq>`. Synchronous, like [`Self::persist_reference`], and
+    /// for the same reason called under the pipeline write lock.
+    fn persist_agg(&self, key: &str, bytes: Vec<u8>) -> Result<(), CoreError> {
         let Some(backing) = &self.durable else {
             return Ok(());
         };
         backing
             .store()
-            .put(
-                &persist::agg_key(index),
-                persist::encode_agg_rollup(source, target, state),
-            )
+            .put(key, bytes)
+            .map_err(|e| CoreError::Persist {
+                detail: e.to_string(),
+            })
+    }
+
+    /// Compacts every streaming reference's logged batch partials into its
+    /// rollup: one `agg/<n>` record per slot holding the slot's whole
+    /// state and the highest partial sequence number it covers, then the
+    /// deletes of those partials — all in one WAL batch with one fsync.
+    /// The rollups come first and replay skips the partials they cover,
+    /// so a crash anywhere in the batch leaves a consistent prefix and
+    /// never merges a batch twice. Returns the number of slots compacted
+    /// (0 without a durable store).
+    pub fn compact_ingest(&self) -> Result<usize, CoreError> {
+        let Some(backing) = &self.durable else {
+            return Ok(0);
+        };
+        let mut registry = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rollups = Vec::new();
+        let mut partials = Vec::new();
+        for ((source, target, _), slot) in &registry.slots {
+            if slot.first_seq == slot.next_seq {
+                continue;
+            }
+            rollups.push((
+                persist::agg_key(slot.agg_index),
+                persist::encode_agg_rollup_covering(source, target, &slot.state, slot.next_seq - 1),
+            ));
+            partials.extend(
+                (slot.first_seq..slot.next_seq)
+                    .map(|seq| persist::agg_partial_key(slot.agg_index, seq)),
+            );
+        }
+        let compacted = rollups.len();
+        backing
+            .store()
+            .write_batch(rollups, partials)
             .map_err(|e| CoreError::Persist {
                 detail: e.to_string(),
             })?;
-        Ok(())
+        for slot in registry.slots.values_mut() {
+            slot.first_seq = slot.next_seq;
+        }
+        Ok(compacted)
+    }
+
+    /// `POST /checkpoint`: compacts the streaming references' partials
+    /// ([`Self::compact_ingest`]), then flushes the write-behind persister
+    /// and snapshots the store, so the snapshot holds one rollup per
+    /// streaming reference. Errors without a durable store.
+    pub fn checkpoint(&self) -> Result<geoalign_store::CheckpointReport, CoreError> {
+        let Some(backing) = &self.durable else {
+            return Err(CoreError::Persist {
+                detail: "no durable store to checkpoint".to_owned(),
+            });
+        };
+        self.compact_ingest()?;
+        backing.checkpoint()
     }
 
     /// Folds one `/ingest` batch of pre-located points into the streaming
@@ -414,8 +461,9 @@ impl AppState {
     /// exact. A cached prepared crosswalk for the pair is refreshed
     /// through [`PreparedCrosswalk::with_reference_updated`] (re-solving
     /// only the touched design rows) and re-keyed; the stale cache entry
-    /// is invalidated either way. The updated rollup is written through
-    /// to the durable store before the fold commits.
+    /// is invalidated either way. The batch's record — the first batch's
+    /// rollup, or a later batch's own partial — is written through to the
+    /// durable store before anything in memory changes.
     ///
     /// `points` are `(source unit, target unit, weight)` index triples
     /// already resolved and validated by the caller; `unknown` counts the
@@ -493,6 +541,17 @@ impl AppState {
         batch: AggState,
     ) -> Result<IngestOutcome, CoreError> {
         let mut pipeline = self.pipeline_mut();
+        Self::check_state_shape(&pipeline, source, target, &batch)?;
+        self.fold_state_locked(&mut pipeline, source, target, attribute, batch)
+    }
+
+    /// An `/ingest/state` batch must span the pair's registered systems.
+    fn check_state_shape(
+        pipeline: &IntegrationPipeline,
+        source: &str,
+        target: &str,
+        batch: &AggState,
+    ) -> Result<(), CoreError> {
         let n_source = pipeline.unit_ids(source)?.len();
         let n_target = pipeline.unit_ids(target)?.len();
         if batch.n_source() != n_source {
@@ -509,12 +568,16 @@ impl AppState {
                 name: format!("ingest state {source} -> {target}"),
             });
         }
-        self.fold_state_locked(&mut pipeline, source, target, attribute, batch)
+        Ok(())
     }
 
     /// The stateful half of [`Self::ingest`]: folds `batch` into the
     /// pair's slot under the already-held pipeline write lock, persists
-    /// the rollup, refreshes the cache, and reports the outcome.
+    /// it, refreshes the cache, and reports the outcome.
+    ///
+    /// Durable before visible: every check runs first, then the batch's
+    /// record is written, and only then do the pipeline, the slot and the
+    /// cache change — so a failed write leaves all three as they were.
     fn fold_state_locked(
         &self,
         pipeline: &mut IntegrationPipeline,
@@ -532,60 +595,60 @@ impl AppState {
 
         let mut registry = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         let slot_key = (source.to_owned(), target.to_owned(), attribute.to_owned());
-        let (state, position, agg_index, appended) = match registry.slots.get(&slot_key) {
-            Some(slot) => {
-                let mut state = slot.state.clone();
-                state
-                    .merge(&batch)
-                    .map_err(geoalign_partition::PartitionError::from)?;
-                (state, slot.position, slot.agg_index, false)
-            }
-            None => (
-                batch,
-                pipeline.reference_count(source, target),
-                registry.next_index,
-                true,
-            ),
-        };
-        let total_points = state.count();
-        let total_skipped = state.skipped();
-
-        let dm = DisaggregationMatrix::from_state(&state)?;
-        let reference = ReferenceData::from_dm(attribute, dm)?;
-        if appended {
-            pipeline.register_reference(source, target, reference.clone())?;
-        } else {
-            pipeline.replace_reference(source, target, position, reference.clone())?;
-        }
-        // Durable write under both locks, so rollup state on disk never
-        // runs ahead of (or falls behind) the registered reference.
-        self.persist_agg_rollup(agg_index, source, target, &state)?;
-        if appended {
-            registry.next_index += 1;
-        }
-        registry.slots.insert(
-            slot_key,
-            IngestSlot {
-                agg_index,
-                position,
-                state,
-            },
-        );
+        let (position, refreshed, total_points, total_skipped) =
+            match registry.slots.get_mut(&slot_key) {
+                Some(slot) => {
+                    let refreshed =
+                        self.fold_into_slot(pipeline, source, target, slot, &batch, &old_key)?;
+                    (
+                        slot.position,
+                        refreshed,
+                        slot.state.count(),
+                        slot.state.skipped(),
+                    )
+                }
+                None => {
+                    // The first batch is the whole state: building its
+                    // reference costs O(batch).
+                    let position = pipeline.reference_count(source, target);
+                    let dm = DisaggregationMatrix::from_state(&batch)?;
+                    let reference = ReferenceData::from_dm(attribute, dm)?;
+                    let refreshed = self.refresh_cached(&old_key, position, &reference)?;
+                    let agg_index = registry.next_index;
+                    self.persist_agg(
+                        &persist::agg_key(agg_index),
+                        persist::encode_agg_rollup(source, target, &batch),
+                    )?;
+                    pipeline.register_reference(source, target, reference)?;
+                    registry.next_index += 1;
+                    let totals = (batch.count(), batch.skipped());
+                    registry.slots.insert(
+                        slot_key,
+                        IngestSlot {
+                            agg_index,
+                            position,
+                            state: batch,
+                            first_seq: 1,
+                            next_seq: 1,
+                        },
+                    );
+                    (position, refreshed, totals.0, totals.1)
+                }
+            };
         drop(registry);
 
         let references_for_pair = pipeline.reference_count(source, target);
-        let mut touched_rows = 0usize;
-        let mut incremental = false;
-        if let Some(old) = &old_key {
-            if let Some(prepared) = self.cache.get(old) {
-                let (updated, touched) = prepared.with_reference_updated(position, reference)?;
+        let (incremental, touched_rows) = match refreshed {
+            Some((updated, touched)) => {
                 // The registration above already refreshed the pipeline's
                 // fingerprint memo, so the new key costs no extra pass.
                 self.cache
                     .insert(pair_key(pipeline, source, target), Arc::new(updated));
-                touched_rows = touched;
-                incremental = true;
+                (true, touched)
             }
+            None => (false, 0),
+        };
+        if let Some(old) = &old_key {
             // Only the folded pair's entry is touched; prepared
             // crosswalks for other pairs stay cached.
             self.cache.invalidate(old);
@@ -602,6 +665,65 @@ impl AppState {
             incremental,
             touched_rows,
         })
+    }
+
+    /// Folds `batch` into an existing streaming reference in O(batch) plus
+    /// a few flat passes over memory: the slot previews the values its
+    /// touched cells will round to, the reference the pipeline holds at
+    /// the slot's position is patched at exactly those cells (with the
+    /// checks, and errors, of `from_state` + `from_dm`), the batch's own
+    /// partial is logged, and only then is the batch merged into the
+    /// slot's state in place. Returns the refreshed cache entry, if the
+    /// pair had one.
+    fn fold_into_slot(
+        &self,
+        pipeline: &mut IntegrationPipeline,
+        source: &str,
+        target: &str,
+        slot: &mut IngestSlot,
+        batch: &AggState,
+        old_key: &Option<CrosswalkKey>,
+    ) -> Result<Option<(PreparedCrosswalk, usize)>, CoreError> {
+        let cells = slot
+            .state
+            .merged_cells(batch)
+            .map_err(geoalign_partition::PartitionError::from)?;
+        let current = pipeline
+            .references(source, target)
+            .get(slot.position)
+            .ok_or_else(|| CoreError::UnknownReference {
+                name: format!("{source} -> {target} reference #{}", slot.position),
+            })?;
+        let reference = current.with_dm_cells_set(&cells)?;
+        let refreshed = self.refresh_cached(old_key, slot.position, &reference)?;
+        self.persist_agg(
+            &persist::agg_partial_key(slot.agg_index, slot.next_seq),
+            persist::encode_agg_partial(batch),
+        )?;
+        // The batch is durable; from here on nothing can fail (the merge
+        // passed its shape check above), so the fold becomes visible.
+        pipeline.replace_reference(source, target, slot.position, reference)?;
+        slot.state
+            .merge(batch)
+            .map_err(geoalign_partition::PartitionError::from)?;
+        slot.next_seq += 1;
+        Ok(refreshed)
+    }
+
+    /// The cached prepared crosswalk under `old_key`, if any, with the
+    /// streaming reference at `position` swapped for `reference` through
+    /// the delta path — computed, not yet inserted.
+    fn refresh_cached(
+        &self,
+        old_key: &Option<CrosswalkKey>,
+        position: usize,
+        reference: &ReferenceData,
+    ) -> Result<Option<(PreparedCrosswalk, usize)>, CoreError> {
+        old_key
+            .as_ref()
+            .and_then(|old| self.cache.get(old))
+            .map(|prepared| prepared.with_reference_updated(position, reference.clone()))
+            .transpose()
     }
 
     /// Time since this state was created (the server's uptime).
@@ -689,6 +811,137 @@ fn pair_key(pipeline: &IntegrationPipeline, source: &str, target: &str) -> Cross
 mod tests {
     use super::*;
     use geoalign_partition::DisaggregationMatrix;
+
+    /// The whole-state fold the in-place one replaced, kept as the
+    /// reference for the router's differential fold test: clone the
+    /// slot's state, merge the batch, finalize every cell through
+    /// `from_state` + `from_dm`, register or replace the reference, write
+    /// the whole rollup, then refresh the cache.
+    impl AppState {
+        pub(crate) fn ingest_whole_state(
+            &self,
+            source: &str,
+            target: &str,
+            attribute: &str,
+            points: &[(usize, usize, f64)],
+            unknown: u64,
+        ) -> Result<IngestOutcome, CoreError> {
+            let mut pipeline = self.pipeline_mut();
+            let batch = Self::locate_batch(&pipeline, source, target, attribute, points, unknown)?;
+            self.fold_whole_state(&mut pipeline, source, target, attribute, batch)
+        }
+
+        pub(crate) fn ingest_state_whole_state(
+            &self,
+            source: &str,
+            target: &str,
+            attribute: &str,
+            batch: AggState,
+        ) -> Result<IngestOutcome, CoreError> {
+            let mut pipeline = self.pipeline_mut();
+            Self::check_state_shape(&pipeline, source, target, &batch)?;
+            self.fold_whole_state(&mut pipeline, source, target, attribute, batch)
+        }
+
+        /// The merged state of a streaming reference, if it has one.
+        pub(crate) fn slot_state(
+            &self,
+            source: &str,
+            target: &str,
+            attribute: &str,
+        ) -> Option<AggState> {
+            let registry = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            let key = (source.to_owned(), target.to_owned(), attribute.to_owned());
+            registry.slots.get(&key).map(|slot| slot.state.clone())
+        }
+
+        fn fold_whole_state(
+            &self,
+            pipeline: &mut IntegrationPipeline,
+            source: &str,
+            target: &str,
+            attribute: &str,
+            batch: AggState,
+        ) -> Result<IngestOutcome, CoreError> {
+            let old_key = (pipeline.reference_count(source, target) > 0)
+                .then(|| pair_key(pipeline, source, target));
+            let absorbed = batch.count();
+            let unknown = batch.skipped();
+
+            let mut registry = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            let slot_key = (source.to_owned(), target.to_owned(), attribute.to_owned());
+            let (state, position, agg_index, appended) = match registry.slots.get(&slot_key) {
+                Some(slot) => {
+                    let mut state = slot.state.clone();
+                    state
+                        .merge(&batch)
+                        .map_err(geoalign_partition::PartitionError::from)?;
+                    (state, slot.position, slot.agg_index, false)
+                }
+                None => (
+                    batch,
+                    pipeline.reference_count(source, target),
+                    registry.next_index,
+                    true,
+                ),
+            };
+            let total_points = state.count();
+            let total_skipped = state.skipped();
+
+            let dm = DisaggregationMatrix::from_state(&state)?;
+            let reference = ReferenceData::from_dm(attribute, dm)?;
+            if appended {
+                pipeline.register_reference(source, target, reference.clone())?;
+            } else {
+                pipeline.replace_reference(source, target, position, reference.clone())?;
+            }
+            self.persist_agg(
+                &persist::agg_key(agg_index),
+                persist::encode_agg_rollup(source, target, &state),
+            )?;
+            if appended {
+                registry.next_index += 1;
+            }
+            registry.slots.insert(
+                slot_key,
+                IngestSlot {
+                    agg_index,
+                    position,
+                    state,
+                    first_seq: 1,
+                    next_seq: 1,
+                },
+            );
+            drop(registry);
+
+            let references_for_pair = pipeline.reference_count(source, target);
+            let mut touched_rows = 0usize;
+            let mut incremental = false;
+            if let Some(old) = &old_key {
+                if let Some(prepared) = self.cache.get(old) {
+                    let (updated, touched) =
+                        prepared.with_reference_updated(position, reference)?;
+                    self.cache
+                        .insert(pair_key(pipeline, source, target), Arc::new(updated));
+                    touched_rows = touched;
+                    incremental = true;
+                }
+                self.cache.invalidate(old);
+            }
+            self.metrics.ingest_touched_rows.add(touched_rows as u64);
+
+            Ok(IngestOutcome {
+                absorbed,
+                skipped: unknown,
+                total_points,
+                total_skipped,
+                position,
+                references_for_pair,
+                incremental,
+                touched_rows,
+            })
+        }
+    }
 
     fn populated() -> Arc<AppState> {
         let state = AppState::new(8);

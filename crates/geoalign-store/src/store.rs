@@ -298,32 +298,64 @@ impl Store {
         })
     }
 
-    /// Appends and commits one mutation, then applies it to the map —
-    /// all while holding the writer mutex. `checkpoint` holds the same
-    /// mutex, so it can never observe sequence `n` without the map
-    /// containing mutation `n`; applying the map update after releasing
-    /// the mutex would let a checkpoint snapshot an older map at seq `n`
-    /// and then delete the WAL segment holding the acknowledged record.
+    /// Durably applies every put in `puts`, then every delete in
+    /// `deletes`, as consecutive WAL records committed with **one** fsync.
+    /// Each record keeps its own sequence number and checksum, so a crash
+    /// part-way through recovers to a prefix of the batch: some of the
+    /// puts, or all of them and some of the deletes. Callers order their
+    /// writes so that every such prefix is a consistent state (the
+    /// streaming-ingest compaction writes its covering rollups first).
+    pub fn write_batch(
+        &self,
+        puts: Vec<(String, Vec<u8>)>,
+        deletes: Vec<String>,
+    ) -> Result<(), StoreError> {
+        let mutations = puts
+            .into_iter()
+            .map(|(key, value)| Mutation::Put { key, value })
+            .chain(deletes.into_iter().map(|key| Mutation::Delete { key }))
+            .collect();
+        self.commit_all(mutations)
+    }
+
+    /// Appends and commits one mutation, then applies it to the map.
     fn commit(&self, mutation: Mutation) -> Result<(), StoreError> {
+        self.commit_all(vec![mutation])
+    }
+
+    /// Appends and commits `mutations` under consecutive sequence numbers
+    /// with one fsync, then applies them to the map in order — all while
+    /// holding the writer mutex. `checkpoint` holds the same mutex, so it
+    /// can never observe sequence `n` without the map containing mutation
+    /// `n`; applying the map update after releasing the mutex would let a
+    /// checkpoint snapshot an older map at seq `n` and then delete the WAL
+    /// segment holding the acknowledged record.
+    fn commit_all(&self, mutations: Vec<Mutation>) -> Result<(), StoreError> {
+        if mutations.is_empty() {
+            return Ok(());
+        }
         let mut writer = self.writer.lock().expect("store writer lock poisoned");
-        let seq = self.seq.load(Ordering::Acquire) + 1;
-        let record = WalRecord { seq, mutation };
-        writer.append(&record)?;
-        match record.mutation {
-            Mutation::Put { key, value } => {
-                self.map
-                    .write()
-                    .expect("store map lock poisoned")
-                    .insert(key, Arc::new(value));
-            }
-            Mutation::Delete { key } => {
-                self.map
-                    .write()
-                    .expect("store map lock poisoned")
-                    .remove(&key);
+        let first = self.seq.load(Ordering::Acquire) + 1;
+        let records: Vec<WalRecord> = mutations
+            .into_iter()
+            .zip(first..)
+            .map(|(mutation, seq)| WalRecord { seq, mutation })
+            .collect();
+        writer.append_all(&records)?;
+        let last = first + records.len() as u64 - 1;
+        let mut map = self.map.write().expect("store map lock poisoned");
+        for record in records {
+            match record.mutation {
+                Mutation::Put { key, value } => {
+                    map.insert(key, Arc::new(value));
+                }
+                Mutation::Delete { key } => {
+                    map.remove(&key);
+                }
             }
         }
-        self.seq.store(seq, Ordering::Release);
+        drop(map);
+        self.seq.store(last, Ordering::Release);
         Ok(())
     }
 
@@ -500,6 +532,59 @@ mod tests {
         assert_eq!(store.len(), 10); // 10 - k0 + post
         assert!(store.get("post").is_some());
         assert!(store.get("k0").is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_batch_commits_in_order_and_a_torn_batch_keeps_a_prefix() {
+        let dir = tmp_dir("batch");
+        let seg = first_segment_path(&dir);
+        let batch = [
+            Mutation::Put {
+                key: "r".to_owned(),
+                value: b"rollup".to_vec(),
+            },
+            Mutation::Delete {
+                key: "p/1".to_owned(),
+            },
+            Mutation::Delete {
+                key: "p/2".to_owned(),
+            },
+        ];
+        let before = {
+            let store = Store::open_with(&dir, fast()).unwrap();
+            store.put("p/1", b"old".to_vec()).unwrap();
+            store.put("p/2", b"two".to_vec()).unwrap();
+            let before = std::fs::metadata(&seg).unwrap().len();
+            store
+                .write_batch(
+                    vec![("r".to_owned(), b"rollup".to_vec())],
+                    vec!["p/1".to_owned(), "p/2".to_owned()],
+                )
+                .unwrap();
+            assert_eq!(store.last_seq(), 5, "one sequence number per record");
+            assert_eq!(store.get("r").unwrap().as_slice(), b"rollup");
+            assert!(!store.contains("p/1") && !store.contains("p/2"));
+            before
+        };
+        // The batch's frame boundaries, from its own records (seqs 3..=5).
+        let mut frame_ends = Vec::new();
+        let mut end = before;
+        for (seq, mutation) in (3..).zip(batch) {
+            end += crate::wal::encode_frame(&WalRecord { seq, mutation }).len() as u64;
+            frame_ends.push(end);
+        }
+        let full = std::fs::read(&seg).unwrap();
+        assert_eq!(full.len() as u64, end, "one append of three frames");
+        // A crash anywhere inside the batch keeps a prefix of it.
+        for cut in before..=end {
+            std::fs::write(&seg, &full[..cut as usize]).unwrap();
+            let store = Store::open_with(&dir, fast()).unwrap();
+            let kept = frame_ends.iter().filter(|&&e| e <= cut).count();
+            assert_eq!(store.contains("r"), kept >= 1, "cut {cut}");
+            assert_eq!(store.contains("p/1"), kept < 2, "cut {cut}");
+            assert_eq!(store.contains("p/2"), kept < 3, "cut {cut}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -329,10 +329,29 @@ impl WalWriter {
     /// record is durable when this returns. Rotates to a fresh segment
     /// once the current one crosses the size threshold — rotation happens
     /// *after* the append, so a record is never split across segments.
+    #[cfg(test)]
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        let frame = encode_frame(record);
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Appends `records` back to back and commits them with one fsync.
+    /// Each keeps its own frame (length, checksum, sequence number), so a
+    /// crash part-way through leaves a torn tail that recovery cuts back
+    /// to a prefix of the batch. Rotation waits until the whole batch is
+    /// written, so a batch is never split across segments either.
+    pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), StoreError> {
+        let frames = match records {
+            [record] => encode_frame(record),
+            _ => {
+                let mut frames = Vec::new();
+                for record in records {
+                    frames.extend_from_slice(&encode_frame(record));
+                }
+                frames
+            }
+        };
         self.file
-            .write_all(&frame)
+            .write_all(&frames)
             .map_err(|e| StoreError::io_at("append", &self.path, e))?;
         if self.fsync {
             let t0 = Instant::now();
@@ -341,8 +360,8 @@ impl WalWriter {
                 .map_err(|e| StoreError::io_at("fsync", &self.path, e))?;
             crate::obs::fsync_micros().record(t0.elapsed());
         }
-        self.segment_bytes += frame.len() as u64;
-        crate::obs::wal_appends().inc();
+        self.segment_bytes += frames.len() as u64;
+        crate::obs::wal_appends().add(records.len() as u64);
         if self.segment_bytes >= self.max_segment_bytes {
             self.rotate()?;
         }

@@ -140,6 +140,37 @@ if [ -n "$tree_hits" ]; then
     exit 1
 fi
 
+echo "==> ingest folds in O(batch): no whole-stream work in the in-place fold"
+# A fold into an existing streaming reference previews only the cells the
+# batch touches, patches the pipeline's reference at those cells and logs
+# the batch's own partial (DESIGN.md §12). from_state( and finalize(
+# re-round every cell of the stream, encode_agg_rollup( rewrites the whole
+# rollup to the WAL, and .state.clone() copies the slot's state: each costs
+# O(stream) per batch. Function-scoped like the typed-decode gate above;
+# the test module, which keeps the whole-state fold as its reference, is
+# skipped.
+limit=$({ grep -nE '^(mod tests|#\[cfg\(test\)\])' crates/geoalign-serve/src/store.rs || true; } \
+    | head -1 | cut -d: -f1)
+[ -z "$limit" ] && limit=0
+fold_hits=$(awk -v fname=fold_into_slot -v limit="$limit" -v file=crates/geoalign-serve/src/store.rs '
+    (limit == 0 || NR < limit) && in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
+    in_fn {
+        if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /from_state\(|finalize\(|encode_agg_rollup\(|\.state\.clone\(\)/)
+            print file ":" NR ": " $0
+        n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
+        depth += n - m
+        if (depth > 0) opened = 1
+        if (opened && depth <= 0) in_fn = 0
+    }
+    END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
+' crates/geoalign-serve/src/store.rs)
+if [ -n "$fold_hits" ]; then
+    echo "error: whole-stream work in the in-place ingest fold — preview the touched cells" >&2
+    echo "(AggState::merged_cells) and patch the reference (with_dm_cells_set):" >&2
+    echo "$fold_hits" >&2
+    exit 1
+fi
+
 echo "==> metric naming: geoalign_<crate>_<name>_<unit>"
 # Every registered metric name is a literal "geoalign_..." string in a
 # src/ file; hold them all to the §8 convention so a scrape stays
