@@ -125,7 +125,7 @@ impl AggState {
     /// The error [`AggState::merge`] would return for `other`, without
     /// merging: the two states must aggregate the same attribute over the
     /// same shape.
-    pub fn check_mergeable(&self, other: &AggState) -> Result<(), AggError> {
+    fn check_mergeable(&self, other: &AggState) -> Result<(), AggError> {
         if self.attribute != other.attribute {
             return Err(AggError::StateMismatch {
                 detail: format!("attribute '{}' vs '{}'", self.attribute, other.attribute),

@@ -200,8 +200,7 @@ impl PreparedCrosswalk {
     /// in and still answer exactly like a cold batch run.
     ///
     /// Every other reference is shared with `self` (an [`Arc`] clone, not
-    /// a copy), so the cost does not grow with the static references'
-    /// sizes.
+    /// a copy of its matrix).
     ///
     /// Returns the new snapshot plus the number of *touched rows*: source
     /// units whose design-column value actually changed (all nonzero rows,
@@ -209,9 +208,8 @@ impl PreparedCrosswalk {
     pub fn with_reference_updated(
         &self,
         index: usize,
-        reference: impl Into<Arc<ReferenceData>>,
+        reference: ReferenceData,
     ) -> Result<(PreparedCrosswalk, usize), CoreError> {
-        let reference = reference.into();
         let t0 = Instant::now();
         let _span = span!("incremental_prepare", index = index);
         if index > self.refs.len() {
@@ -261,6 +259,7 @@ impl PreparedCrosswalk {
         let design = DMatrix::from_columns(&columns)?;
         let gram = self.gram.with_updated_column(&design, index)?;
         let row_sums = reference.dm().matrix().row_sums();
+        let reference = Arc::new(reference);
         let mut refs = self.refs.clone();
         let mut row_sums_per_ref = self.row_sums_per_ref.clone();
         if index < refs.len() {
