@@ -15,7 +15,8 @@
 //!   initialise, inspect, compact, or verify it offline;
 //! * `agg` — inspect or merge mergeable aggregate states
 //!   (`geoalign-agg`), either standalone state files or the streaming
-//!   rollups inside a durable store.
+//!   references inside a durable store (rollups merged with their
+//!   batch partials).
 //!
 //! All inputs are CSV: aggregate tables are `unit,value` with a header,
 //! crosswalk files are `source,target,value` (the HUD USPS crosswalk
@@ -791,7 +792,8 @@ pub fn run_store(args: &StoreArgs) -> Result<String, CliError> {
 pub enum AggArgs {
     /// Decode one aggregate state file and summarise it.
     InspectFile(String),
-    /// Open a durable store and summarise every `agg/` rollup.
+    /// Open a durable store and summarise every streaming reference
+    /// under `agg/`, merged from its rollup and partials.
     InspectStore(String),
     /// Merge state files into one output file.
     Merge {
