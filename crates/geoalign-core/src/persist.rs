@@ -31,14 +31,13 @@
 
 use crate::align::GeoAlignConfig;
 use crate::error::CoreError;
-use crate::prepare::PreparedCrosswalk;
+use crate::prepare::{transpose_of, PreparedCrosswalk};
 use crate::reference::ReferenceData;
 use crate::store::CrosswalkKey;
 use geoalign_linalg::simplex_ls::{GramSystem, SimplexSolver};
 use geoalign_linalg::DMatrix;
 use geoalign_partition::{AggregateVector, DisaggregationMatrix};
 use geoalign_store::{ByteReader, ByteWriter};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Payload format version for every codec in this module.
@@ -484,7 +483,8 @@ pub fn encode_prepared(p: &PreparedCrosswalk) -> Vec<u8> {
 
 /// Decodes a prepared crosswalk. The result is byte-identical in
 /// behavior to the encoded instance: same design matrix bits, same Gram
-/// state bits, so `apply_values` produces bit-equal estimates.
+/// state bits, and the references' transposes rebuilt from the decoded
+/// references, so `apply_values` produces bit-equal estimates.
 pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
     let what = "prepared crosswalk";
     let mut r = ByteReader::new(bytes);
@@ -515,7 +515,7 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
     }
     let mut refs = Vec::with_capacity(n_refs);
     for _ in 0..n_refs {
-        refs.push(Arc::new(read_reference_data(&mut r)?));
+        refs.push(read_reference_data(&mut r)?);
     }
     let design = read_dense(&mut r, "design matrix")?;
     let gram_matrix = read_dense(&mut r, "gram matrix")?;
@@ -558,9 +558,13 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
             });
         }
     }
+    // The transposes are derived state: rebuilt from the decoded
+    // references, so the encoded bytes carry none of them.
+    let transposes = refs.iter().map(transpose_of).collect();
     Ok(PreparedCrosswalk {
         config: GeoAlignConfig { solver, normalize },
         refs,
+        transposes,
         design,
         gram,
         row_sums_per_ref,

@@ -68,15 +68,21 @@ impl ApplyScratch {
 /// [`GeoAlign::estimate`] computes that depends only on the references,
 /// ready to be applied to any number of objective vectors.
 ///
-/// The references sit behind [`Arc`]s, so snapshots derived from one
-/// another by [`PreparedCrosswalk::with_reference_updated`] share every
-/// reference that did not change instead of copying it.
+/// A snapshot shares its references' matrices (a [`ReferenceData`] clone
+/// is a pointer copy) and owns one thing per reference the references do
+/// not have: the disaggregation matrix transposed, target-major, which is
+/// what the serving mixture walks. Snapshots derived from one another by
+/// [`PreparedCrosswalk::with_reference_updated`] share the transposes of
+/// every reference that did not change as well.
 #[derive(Debug, Clone)]
 pub struct PreparedCrosswalk {
     // Fields are crate-visible so `persist` can take a snapshot apart and
     // reassemble a byte-identical one from disk.
     pub(crate) config: GeoAlignConfig,
-    pub(crate) refs: Vec<Arc<ReferenceData>>,
+    pub(crate) refs: Vec<ReferenceData>,
+    /// `DM_kᵀ` per reference: row `j` lists the source rows of target
+    /// `j`, ascending. Derived from `refs`, never persisted.
+    pub(crate) transposes: Vec<Arc<CsrMatrix>>,
     /// Stacked source-level reference matrix of Eq. 15 (normalized
     /// per-column when the config says so).
     pub(crate) design: DMatrix,
@@ -103,10 +109,10 @@ pub struct CrosswalkEstimate {
 
 impl GeoAlign {
     /// Snapshots the objective-independent half of Algorithm 1 for the
-    /// given references. The returned [`PreparedCrosswalk`] owns copies of
-    /// the references (shared with the snapshots the delta path derives
-    /// from it) and can be applied to any number of objective
-    /// vectors — including concurrently, since applying is `&self`.
+    /// given references. The returned [`PreparedCrosswalk`] shares the
+    /// references' matrices, adds the transpose of each, and can be
+    /// applied to any number of objective vectors — including
+    /// concurrently, since applying is `&self`.
     pub fn prepare(&self, refs: &[&ReferenceData]) -> Result<PreparedCrosswalk, CoreError> {
         let t0 = Instant::now();
         let _span = span!("prepare", refs = refs.len());
@@ -135,9 +141,11 @@ impl GeoAlign {
                 .sum::<u64>()
                 + (n_source * refs.len()) as u64,
         );
+        let transposes = refs.iter().map(|r| transpose_of(r)).collect();
         let prepared = PreparedCrosswalk {
             config: *self.config(),
-            refs: refs.iter().map(|&r| Arc::new(r.clone())).collect(),
+            refs: refs.iter().map(|&r| r.clone()).collect(),
+            transposes,
             design,
             gram,
             row_sums_per_ref,
@@ -148,6 +156,14 @@ impl GeoAlign {
         crate::obs::prepare_micros().record(prepared.prepare_time);
         Ok(prepared)
     }
+}
+
+/// The target-major copy of a reference's disaggregation matrix that the
+/// serving mixture walks. `CsrMatrix::transpose` appends each target's
+/// entries in ascending source order, the order the row-major walk
+/// reaches them in, which is what keeps the mixture bit-identical.
+pub(crate) fn transpose_of(r: &ReferenceData) -> Arc<CsrMatrix> {
+    Arc::new(r.dm().matrix().transpose())
 }
 
 /// [`validate_references`] against the references' own source dimension
@@ -171,7 +187,7 @@ impl PreparedCrosswalk {
     }
 
     /// The snapshotted references, in supply order.
-    pub fn references(&self) -> &[Arc<ReferenceData>] {
+    pub fn references(&self) -> &[ReferenceData] {
         &self.refs
     }
 
@@ -199,8 +215,9 @@ impl PreparedCrosswalk {
     /// whole. This is what lets a streaming server fold `/ingest` batches
     /// in and still answer exactly like a cold batch run.
     ///
-    /// Every other reference is shared with `self` (an [`Arc`] clone, not
-    /// a copy of its matrix).
+    /// Only the updated reference is transposed; every other reference
+    /// and transpose is shared with `self` (a pointer copy, not a copy of
+    /// its matrix).
     ///
     /// Returns the new snapshot plus the number of *touched rows*: source
     /// units whose design-column value actually changed (all nonzero rows,
@@ -259,20 +276,24 @@ impl PreparedCrosswalk {
         let design = DMatrix::from_columns(&columns)?;
         let gram = self.gram.with_updated_column(&design, index)?;
         let row_sums = reference.dm().matrix().row_sums();
-        let reference = Arc::new(reference);
+        let transpose = transpose_of(&reference);
         let mut refs = self.refs.clone();
+        let mut transposes = self.transposes.clone();
         let mut row_sums_per_ref = self.row_sums_per_ref.clone();
         if index < refs.len() {
             refs[index] = reference;
+            transposes[index] = transpose;
             row_sums_per_ref[index] = row_sums;
         } else {
             refs.push(reference);
+            transposes.push(transpose);
             row_sums_per_ref.push(row_sums);
         }
         crate::obs::incremental_rows().add(touched as u64);
         let prepared = PreparedCrosswalk {
             config: self.config,
             refs,
+            transposes,
             design,
             gram,
             row_sums_per_ref,
@@ -335,8 +356,8 @@ impl PreparedCrosswalk {
 
     /// The serving fast path: like [`PreparedCrosswalk::apply`] but never
     /// materializes the estimated disaggregation matrix. The estimate is
-    /// accumulated directly as
-    /// `est[j] += f_k(i) · DM_k[i, j]` with per-row factors
+    /// summed directly as
+    /// `est[j] = Σ_k Σ_i f_k(i) · DM_k[i, j]` with per-row factors
     /// `f_k(i) = β'_k · a_o[i] / den(i)` (and the uniform fallback factor
     /// on rows whose weighted denominator vanishes) — the distributive
     /// reordering of Eq. 14 + Eq. 17. Same arithmetic as `apply` up to
@@ -374,12 +395,20 @@ impl PreparedCrosswalk {
         })
     }
 
-    /// The allocation-free apply core: accumulates the estimate into the
+    /// The allocation-free apply core: sums the estimate into the
     /// caller's `estimate` slice (length `n_target`, fully overwritten)
     /// through the scratch arena. Zero heap allocations here once the
     /// arena has grown to the problem size (enforced by check.sh's
     /// hot-loop gate — keep `.clone()`/`to_vec()`/`vec![` out); the
     /// returned weights are the solver wrapper's output allocation.
+    ///
+    /// The mixture is target-major: each target's estimate is summed in
+    /// one register over the references' transposes, adding
+    /// `f_k(i) · DM_k[i, j]` over `(k, i)` ascending, which are the
+    /// additions a row-major scatter `est[j] += …` makes, in the same
+    /// order, so the bits are the same (DESIGN.md §15). The register
+    /// starts at `+0.0`, the value the scatter's zero-filled slot starts
+    /// from, so a target no reference reaches stays `+0.0`.
     fn apply_values_into(
         &self,
         objective_source: &AggregateVector,
@@ -420,15 +449,19 @@ impl PreparedCrosswalk {
                 s.rf_fallback[i] = obj[i] / s.unweighted[i];
             }
         }
-        estimate.fill(0.0);
-        for (k, r) in self.refs.iter().enumerate() {
-            let bk = s.adapted[k];
-            for (i, j, v) in r.dm().matrix().iter() {
-                let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
-                if f != 0.0 {
-                    estimate[j] += f * v;
+        for (j, out) in estimate.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (t, &bk) in self.transposes.iter().zip(&s.adapted) {
+                let (rows, vals) = t.row(j);
+                for (&i, &v) in rows.iter().zip(vals) {
+                    let i = i as usize;
+                    let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
+                    if f != 0.0 {
+                        acc += f * v;
+                    }
                 }
             }
+            *out = acc;
         }
         drop(_disagg_span);
         timings.disaggregation = t1.elapsed();
@@ -641,6 +674,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "row sums");
             }
         }
+        assert_eq!(a.transposes, b.transposes, "transposes");
     }
 
     #[test]
@@ -702,6 +736,313 @@ mod tests {
             prepared.with_reference_updated(0, bad),
             Err(CoreError::TargetMismatch { .. })
         ));
+    }
+
+    /// The row-major mixture `apply_values_into` ran before it became
+    /// target-major, kept as the reference the kernel must match bit for
+    /// bit: per reference in order, per CSR row ascending, it scatters
+    /// `estimate[j] += f * v` into a zero-filled estimate.
+    fn apply_values_row_major(
+        p: &PreparedCrosswalk,
+        objective_source: &AggregateVector,
+    ) -> Result<(Vec<f64>, Vec<f64>), CoreError> {
+        let s = &mut ApplyScratch::new();
+        let weights = p.learn_weights_scratch(objective_source, s)?;
+        scale_adapted_weights_into(&weights, &p.row_sums_per_ref, &mut s.adapted);
+        row_denominators_into(
+            &p.row_sums_per_ref,
+            &s.adapted,
+            p.n_source,
+            &mut s.weighted,
+            &mut s.unweighted,
+        );
+        let obj = objective_source.values();
+        s.rf_weighted.clear();
+        s.rf_weighted.resize(p.n_source, 0.0);
+        s.rf_fallback.clear();
+        s.rf_fallback.resize(p.n_source, 0.0);
+        #[allow(clippy::needless_range_loop)] // lockstep over four row slices
+        for i in 0..p.n_source {
+            if s.weighted[i] > 0.0 {
+                s.rf_weighted[i] = obj[i] / s.weighted[i];
+            } else if s.unweighted[i] > 0.0 {
+                s.rf_fallback[i] = obj[i] / s.unweighted[i];
+            }
+        }
+        let mut estimate = vec![0.0; p.n_target];
+        for (k, r) in p.refs.iter().enumerate() {
+            let bk = s.adapted[k];
+            for (i, j, v) in r.dm().matrix().iter() {
+                let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
+                if f != 0.0 {
+                    estimate[j] += f * v;
+                }
+            }
+        }
+        Ok((estimate, weights))
+    }
+
+    /// SplitMix64: a seeded generator for the differential cases, with
+    /// the scale of its large values.
+    struct Rng {
+        state: u64,
+        large: f64,
+    }
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            ((self.next() >> 11) as f64) < p * (1u64 << 53) as f64
+        }
+
+        /// A positive value: mostly ordinary, sometimes subnormal or
+        /// large.
+        fn value(&mut self, magnitude: Magnitude) -> f64 {
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            match magnitude {
+                Magnitude::Ordinary => 0.001 + unit * 100.0,
+                Magnitude::Subnormal => f64::from_bits(1 + self.next() % (1 << 40)),
+                Magnitude::Large => (1.0 + unit) * self.large,
+            }
+        }
+
+        fn magnitude(&mut self) -> Magnitude {
+            match self.below(10) {
+                0 => Magnitude::Subnormal,
+                1 => Magnitude::Large,
+                _ => Magnitude::Ordinary,
+            }
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    enum Magnitude {
+        Ordinary,
+        Subnormal,
+        Large,
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One generated reference: each row over 1–3 neighbouring targets
+    /// (`banded`) or 1–6 random ones, skipping `empty` rows, the
+    /// `dead` targets no reference reaches, and `skip` rows.
+    fn generated_dm(
+        rng: &mut Rng,
+        name: &str,
+        (n_source, n_target): (usize, usize),
+        banded: bool,
+        dead: &[bool],
+        skip: &dyn Fn(usize) -> bool,
+    ) -> DisaggregationMatrix {
+        let mut triples = Vec::new();
+        for i in 0..n_source {
+            if skip(i) || rng.chance(0.15) {
+                continue;
+            }
+            let magnitude = rng.magnitude();
+            let mut cols: Vec<usize> = if banded {
+                let start = i * n_target / n_source;
+                (start..(start + 1 + rng.below(3)).min(n_target)).collect()
+            } else {
+                (0..1 + rng.below(6)).map(|_| rng.below(n_target)).collect()
+            };
+            cols.sort_unstable();
+            cols.dedup();
+            for j in cols.into_iter().filter(|&j| !dead[j]) {
+                triples.push((i, j, rng.value(magnitude)));
+            }
+        }
+        DisaggregationMatrix::from_triples(name, n_source, n_target, triples).unwrap()
+    }
+
+    /// Applies `p` through the kernel and through the row-major reference
+    /// and requires equal bits, or the same error; returns the kernel's
+    /// estimate and weights.
+    type Applied = Result<(Vec<u64>, Vec<u64>), CoreError>;
+
+    fn apply_both(p: &PreparedCrosswalk, obj: &AggregateVector, what: &str) -> Applied {
+        let got = p.apply_values(obj);
+        let want = apply_values_row_major(p, obj);
+        match (got, want) {
+            (Ok(got), Ok((estimate, weights))) => {
+                assert_eq!(bits(&got.estimate), bits(&estimate), "{what}: estimate");
+                assert_eq!(bits(&got.weights), bits(&weights), "{what}: weights");
+                Ok((bits(&got.estimate), bits(&got.weights)))
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "{what}: error");
+                Err(got)
+            }
+            (got, want) => panic!(
+                "{what}: kernel {:?} vs reference {:?}",
+                got.err(),
+                want.err()
+            ),
+        }
+    }
+
+    #[test]
+    fn target_major_mixture_matches_the_row_major_scatter_bitwise() {
+        use crate::persist::{decode_prepared, encode_prepared};
+        let mut rng = Rng {
+            state: 0x6765_6f61_6c69_676e,
+            large: 0.0,
+        };
+        // How often each shape the kernel must get right was reached.
+        let (mut unreached_targets, mut fallback_rows, mut empty_rows) = (0, 0, 0);
+        let (mut extreme_estimates, mut failed_solves) = (0, 0);
+        for case in 0..300 {
+            // Unnormalized design columns are squared into the Gram
+            // matrix, so their large values stay below its overflow.
+            let normalize = rng.chance(0.8);
+            rng.large = if normalize { 1e300 } else { 1e150 };
+            let n_refs = 1 + rng.below(6);
+            let n_source = 1 + rng.below(200);
+            let n_target = 1 + rng.below(40);
+            let shape = (n_source, n_target);
+            let banded = rng.chance(0.5);
+            let dead: Vec<bool> = (0..n_target).map(|_| rng.chance(0.15)).collect();
+            let empty: Vec<bool> = (0..n_source).map(|_| rng.chance(0.1)).collect();
+            // A decoy: the last reference has no source mass, so weight
+            // learning gives it weight 0, and its matrix alone reaches the
+            // `decoy_only` rows, which take the uniform fallback factor.
+            let decoy = n_refs > 1 && rng.chance(0.4);
+            let decoy_only: Vec<bool> = (0..n_source).map(|_| decoy && rng.chance(0.3)).collect();
+            let refs: Vec<ReferenceData> = (0..n_refs)
+                .map(|k| {
+                    let name = format!("r{k}");
+                    let is_decoy = decoy && k == n_refs - 1;
+                    let skip = |i: usize| empty[i] || (!is_decoy && decoy_only[i]);
+                    let dm = generated_dm(&mut rng, &name, shape, banded, &dead, &skip);
+                    if is_decoy {
+                        let zeros = AggregateVector::new(&name, vec![0.0; n_source]).unwrap();
+                        ReferenceData::new(&name, zeros, dm).unwrap()
+                    } else {
+                        ReferenceData::from_dm(&name, dm).unwrap()
+                    }
+                })
+                .collect();
+            let magnitude = rng.magnitude();
+            let values: Vec<f64> = (0..n_source)
+                .map(|_| {
+                    if rng.chance(0.1) {
+                        0.0
+                    } else {
+                        rng.value(magnitude)
+                    }
+                })
+                .collect();
+            let obj = AggregateVector::new("obj", values).unwrap();
+            let config = GeoAlignConfig {
+                solver: if rng.chance(0.2) {
+                    simplex_ls::SimplexSolver::ProjectedGradient
+                } else {
+                    simplex_ls::SimplexSolver::ActiveSet
+                },
+                normalize,
+            };
+            let ga = GeoAlign::with_config(config);
+            let slices: Vec<&ReferenceData> = refs.iter().collect();
+            let fresh = ga.prepare(&slices).unwrap();
+            let applied = apply_both(&fresh, &obj, &format!("case {case} fresh"));
+            if let Ok((estimate, weights)) = &applied {
+                // Count the shapes this case reached.
+                let reached = |j: usize| fresh.transposes.iter().any(|t| !t.row(j).0.is_empty());
+                unreached_targets += (0..n_target).filter(|&j| !reached(j)).count();
+                empty_rows += (0..n_source)
+                    .filter(|&i| fresh.row_sums_per_ref.iter().all(|sums| sums[i] == 0.0))
+                    .count();
+                // Rows with objective mass where every reference that
+                // reaches them learned weight 0: the uniform fallback.
+                let sums = &fresh.row_sums_per_ref;
+                let zero_weight_only = |i: usize| {
+                    let live = || (0..n_refs).filter(|&k| sums[k][i] > 0.0);
+                    live().count() > 0 && live().all(|k| weights[k] == 0)
+                };
+                fallback_rows += (0..n_source)
+                    .filter(|&i| obj.values()[i] > 0.0 && zero_weight_only(i))
+                    .count();
+                extreme_estimates += estimate
+                    .iter()
+                    .map(|&b| f64::from_bits(b))
+                    .filter(|v| v.is_subnormal() || *v > 1e140)
+                    .count();
+            } else {
+                failed_solves += 1;
+            }
+
+            // The delta path: replace one reference, and append the last.
+            let index = rng.below(n_refs);
+            let stale = ReferenceData::from_dm(
+                "stale",
+                generated_dm(
+                    &mut rng,
+                    "stale",
+                    shape,
+                    !banded,
+                    &vec![false; n_target],
+                    &|_| false,
+                ),
+            )
+            .unwrap();
+            let mut before = slices.clone();
+            before[index] = &stale;
+            let (replaced, _) = ga
+                .prepare(&before)
+                .unwrap()
+                .with_reference_updated(index, refs[index].clone())
+                .unwrap();
+            let via = apply_both(&replaced, &obj, &format!("case {case} replace"));
+            assert_eq!(via, applied, "case {case}: replace vs fresh");
+            if n_refs > 1 {
+                let (appended, _) = ga
+                    .prepare(&slices[..n_refs - 1])
+                    .unwrap()
+                    .with_reference_updated(n_refs - 1, refs[n_refs - 1].clone())
+                    .unwrap();
+                let via = apply_both(&appended, &obj, &format!("case {case} append"));
+                assert_eq!(via, applied, "case {case}: append vs fresh");
+            }
+
+            // A decoded snapshot rebuilds its transposes from its references.
+            let bytes = encode_prepared(&fresh);
+            let decoded = decode_prepared(&bytes).unwrap();
+            let via = apply_both(&decoded, &obj, &format!("case {case} decoded"));
+            assert_eq!(via, applied, "case {case}: decoded vs fresh");
+            assert_eq!(
+                encode_prepared(&decoded),
+                bytes,
+                "case {case}: re-encoded bytes"
+            );
+        }
+        // Every shape was reached many times over, and nearly every case
+        // got past weight learning (a degenerate design fails both paths
+        // alike with the solver's error).
+        assert!(
+            unreached_targets >= 500,
+            "unreached targets: {unreached_targets}"
+        );
+        assert!(fallback_rows >= 500, "fallback rows: {fallback_rows}");
+        assert!(empty_rows >= 500, "empty rows: {empty_rows}");
+        assert!(
+            extreme_estimates >= 500,
+            "subnormal or large estimates: {extreme_estimates}"
+        );
+        assert!(failed_solves <= 60, "failed solves: {failed_solves}");
     }
 
     #[test]

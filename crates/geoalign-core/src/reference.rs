@@ -7,14 +7,19 @@
 
 use crate::error::CoreError;
 use geoalign_partition::{AggregateVector, DisaggregationMatrix};
+use std::sync::Arc;
 
 /// A reference attribute: its aggregates at the source level plus its
 /// disaggregation matrix to the target level.
+///
+/// Both sit behind [`Arc`]s, so a clone shares them instead of copying:
+/// the pipeline, the prepared snapshots built from it and the snapshots
+/// the delta path derives from those all hold one copy of each matrix.
 #[derive(Debug, Clone)]
 pub struct ReferenceData {
     name: String,
-    source: AggregateVector,
-    dm: DisaggregationMatrix,
+    source: Arc<AggregateVector>,
+    dm: Arc<DisaggregationMatrix>,
 }
 
 impl ReferenceData {
@@ -29,7 +34,11 @@ impl ReferenceData {
         if source.len() != dm.n_source() {
             return Err(CoreError::InconsistentReference { name });
         }
-        Ok(Self { name, source, dm })
+        Ok(Self {
+            name,
+            source: Arc::new(source),
+            dm: Arc::new(dm),
+        })
     }
 
     /// Builds the reference directly from a disaggregation matrix, taking
@@ -38,8 +47,8 @@ impl ReferenceData {
         let source = dm.source_aggregates().map_err(CoreError::Partition)?;
         Ok(Self {
             name: name.into(),
-            source,
-            dm,
+            source: Arc::new(source),
+            dm: Arc::new(dm),
         })
     }
 
@@ -82,8 +91,8 @@ impl ReferenceData {
             AggregateVector::new(self.source.attribute(), totals).map_err(CoreError::Partition)?;
         Ok(Self {
             name: self.name.clone(),
-            source,
-            dm,
+            source: Arc::new(source),
+            dm: Arc::new(dm),
         })
     }
 
@@ -114,8 +123,18 @@ impl ReferenceData {
 
     /// Returns a copy with the source aggregates replaced (used by the
     /// noise-robustness experiments, which perturb the source level only).
+    /// The disaggregation matrix is shared, not copied.
     pub fn with_source(&self, source: AggregateVector) -> Result<Self, CoreError> {
-        Self::new(self.name.clone(), source, self.dm.clone())
+        if source.len() != self.dm.n_source() {
+            return Err(CoreError::InconsistentReference {
+                name: self.name.clone(),
+            });
+        }
+        Ok(Self {
+            name: self.name.clone(),
+            source: Arc::new(source),
+            dm: Arc::clone(&self.dm),
+        })
     }
 }
 

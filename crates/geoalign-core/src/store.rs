@@ -446,6 +446,15 @@ mod tests {
         Arc::new(GeoAlign::new().prepare(&[r]).unwrap())
     }
 
+    /// Held by every test here that evicts: the obs eviction counter is
+    /// process-global, so evictions another test makes on another thread
+    /// would land in this test's reading of its delta.
+    static EVICTING_TESTS: Mutex<()> = Mutex::new(());
+
+    fn evicting_tests_lock() -> std::sync::MutexGuard<'static, ()> {
+        EVICTING_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn fingerprint_distinguishes_content() {
         let a = make_ref("pop", 1.0);
@@ -490,6 +499,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced_with_lru_eviction() {
+        let _serial = evicting_tests_lock();
         let store = CrosswalkStore::new(2);
         let refs: Vec<ReferenceData> = (0..5)
             .map(|k| make_ref(&format!("r{k}"), k as f64 + 1.0))
@@ -605,6 +615,7 @@ mod tests {
         // Regression guard for the eviction metric: the counter (and its
         // obs twin) must tick exactly once per entry actually removed —
         // never for replacements, invalidations, or failed prepares.
+        let _serial = evicting_tests_lock();
         let store = CrosswalkStore::new(3);
         let refs: Vec<ReferenceData> = (0..10)
             .map(|k| make_ref(&format!("r{k}"), k as f64 + 1.0))
@@ -642,6 +653,7 @@ mod tests {
         // Hammer a capacity-1 store from several threads; every eviction
         // decision races with the others. Conservation must hold exactly:
         // entries inserted == entries evicted + entries still present.
+        let _serial = evicting_tests_lock();
         let store = CrosswalkStore::new(1);
         let refs: Vec<ReferenceData> = (0..8)
             .map(|k| make_ref(&format!("c{k}"), k as f64 + 1.0))

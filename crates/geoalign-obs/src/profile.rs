@@ -486,6 +486,15 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
+    /// Held by every test that starts a profiler: the active count is
+    /// process-global, so a profiler one test starts on another thread
+    /// would show up in this test's reading of [`profiling_active`].
+    static PROFILER_TESTS: Mutex<()> = Mutex::new(());
+
+    fn profiler_tests_lock() -> std::sync::MutexGuard<'static, ()> {
+        PROFILER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn interning_is_stable_and_reversible() {
         let a = intern("profile_test_phase_a");
@@ -538,6 +547,7 @@ mod tests {
 
     #[test]
     fn profiler_captures_a_busy_span() {
+        let _serial = profiler_tests_lock();
         let profiler = Profiler::start(4000);
         assert!(profiling_active());
         // Keep a distinctive span busy long enough for several sweeps.
@@ -567,12 +577,13 @@ mod tests {
 
     #[test]
     fn profiling_flag_clears_after_stop() {
+        let _serial = profiler_tests_lock();
         let before = profiling_active();
         let p = Profiler::start(100);
         assert!(profiling_active());
         drop(p); // Drop without stop() must also unwind the active count.
-                 // Another profiler may be running in a parallel test; only assert
-                 // we returned to the prior state when none was active before.
+                 // Assert we returned to the prior state when none was
+                 // active before.
         if !before {
             assert!(!profiling_active());
         }

@@ -171,6 +171,35 @@ if [ -n "$fold_hits" ]; then
     exit 1
 fi
 
+echo "==> apply sums each target in a register: no row-major scatter in the mixture"
+# The serving mixture walks each reference's transpose and sums one
+# target's estimate in a register (DESIGN.md §15). A walk over a
+# matrix's row-major entries (.matrix().iter()) or an `estimate[…] +=`
+# scatter in apply_values_into brings back the chain of dependent adds
+# to shared targets. Function-scoped like the gates above; the test
+# module, which keeps the row-major scatter as its reference, is skipped.
+limit=$({ grep -nE '^(mod tests|#\[cfg\(test\)\])' crates/geoalign-core/src/prepare.rs || true; } \
+    | head -1 | cut -d: -f1)
+[ -z "$limit" ] && limit=0
+scatter_hits=$(awk -v fname=apply_values_into -v limit="$limit" -v file=crates/geoalign-core/src/prepare.rs '
+    (limit == 0 || NR < limit) && in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
+    in_fn {
+        if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /\.matrix\(\)\.iter\(\)|estimate\[[^]]*\][[:space:]]*\+=/)
+            print file ":" NR ": " $0
+        n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
+        depth += n - m
+        if (depth > 0) opened = 1
+        if (opened && depth <= 0) in_fn = 0
+    }
+    END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
+' crates/geoalign-core/src/prepare.rs)
+if [ -n "$scatter_hits" ]; then
+    echo "error: row-major scatter in the serving mixture — sum each target over the" >&2
+    echo "references' transposes (PreparedCrosswalk::transposes):" >&2
+    echo "$scatter_hits" >&2
+    exit 1
+fi
+
 echo "==> metric naming: geoalign_<crate>_<name>_<unit>"
 # Every registered metric name is a literal "geoalign_..." string in a
 # src/ file; hold them all to the §8 convention so a scrape stays
