@@ -869,11 +869,11 @@ mod tests {
         DisaggregationMatrix::from_triples(name, n_source, n_target, triples).unwrap()
     }
 
-    /// Applies `p` through the kernel and through the row-major reference
-    /// and requires equal bits, or the same error; returns the kernel's
-    /// estimate and weights.
+    /// Estimate and weight bits, or the error weight learning raised.
     type Applied = Result<(Vec<u64>, Vec<u64>), CoreError>;
 
+    /// Applies `p` through the kernel and through the row-major reference
+    /// and requires equal bits, or the same error.
     fn apply_both(p: &PreparedCrosswalk, obj: &AggregateVector, what: &str) -> Applied {
         let got = p.apply_values(obj);
         let want = apply_values_row_major(p, obj);

@@ -30,14 +30,22 @@ impl ReferenceData {
         source: AggregateVector,
         dm: DisaggregationMatrix,
     ) -> Result<Self, CoreError> {
-        let name = name.into();
+        Self::sharing(name.into(), source, Arc::new(dm))
+    }
+
+    /// [`ReferenceData::new`] over a matrix that may already be shared.
+    fn sharing(
+        name: String,
+        source: AggregateVector,
+        dm: Arc<DisaggregationMatrix>,
+    ) -> Result<Self, CoreError> {
         if source.len() != dm.n_source() {
             return Err(CoreError::InconsistentReference { name });
         }
         Ok(Self {
             name,
             source: Arc::new(source),
-            dm: Arc::new(dm),
+            dm,
         })
     }
 
@@ -125,16 +133,7 @@ impl ReferenceData {
     /// noise-robustness experiments, which perturb the source level only).
     /// The disaggregation matrix is shared, not copied.
     pub fn with_source(&self, source: AggregateVector) -> Result<Self, CoreError> {
-        if source.len() != self.dm.n_source() {
-            return Err(CoreError::InconsistentReference {
-                name: self.name.clone(),
-            });
-        }
-        Ok(Self {
-            name: self.name.clone(),
-            source: Arc::new(source),
-            dm: Arc::clone(&self.dm),
-        })
+        Self::sharing(self.name.clone(), source, Arc::clone(&self.dm))
     }
 }
 
