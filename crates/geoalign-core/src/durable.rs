@@ -10,8 +10,9 @@
 //! kill -9" deterministic in tests and in `POST /checkpoint`.
 //!
 //! Reads (`lookup_prepared`) are synchronous: they only run on a cache
-//! miss, where a disk read + decode is still orders of magnitude cheaper
-//! than re-running prepare.
+//! miss. A read is not cheaper than re-running prepare: in
+//! `BENCH_store.json` (1600×320, 3 references) reviving a snapshot takes
+//! 0.743 ms against a cold prepare of 0.163 ms (`warm_speedup` 0.219).
 
 use crate::error::CoreError;
 use crate::persist;

@@ -7,12 +7,11 @@
 //!
 //! Two independent solvers are provided:
 //!
-//! * [`solve_projected_gradient`] — accelerated projected gradient (FISTA)
-//!   with exact Euclidean projection onto the simplex (Duchi et al. 2008);
-//!   the default used by the algorithm.
 //! * [`solve_active_set`] — an exact active-set method that eliminates the
 //!   equality constraint and enumerates KKT-consistent supports via the
-//!   Lawson–Hanson machinery.
+//!   Lawson–Hanson machinery; the default ([`SimplexSolver::default`]).
+//! * [`solve_projected_gradient`] — accelerated projected gradient (FISTA)
+//!   with exact Euclidean projection onto the simplex (Duchi et al. 2008).
 //!
 //! Tests assert the two agree, giving mutual validation without an external
 //! reference implementation.
@@ -613,22 +612,66 @@ fn eq_constrained_ls_scratch(
     bufs.y.extend_from_slice(&bufs.rhs);
     bufs.sol.clear();
     bufs.sol.resize(k + 1, 0.0);
-    if householder_solve_into(&bufs.qr, &bufs.tau, &mut bufs.y, &mut bufs.sol).is_err() {
-        // Singular KKT (duplicate columns in the support): fall back to a
-        // ridge-regularized system, which picks the minimum-norm split.
+    if householder_solve_into(&bufs.qr, &bufs.tau, &mut bufs.y, &mut bufs.sol).is_ok() {
+        // Drop the multiplier entry so callers read z as sol[..k].
+        bufs.sol.truncate(k);
+        return Ok(());
+    }
+    // A Gram block far from the unit border (unnormalized references:
+    // entries of 1e6 and more, or tiny ones) drives the last pivot under
+    // the rank test although the design has full rank. Dividing G_S and c
+    // by a power of two near G_S's scale is exact and leaves z unchanged
+    // (only λ scales), so retry once on that system.
+    let diagonal = (0..k)
+        .map(|p| bufs.kkt[(p, p)].abs())
+        .fold(0.0f64, f64::max);
+    if let Some(inverse) = nearest_power_of_two_inverse(diagonal) {
         bufs.qr.copy_from(&bufs.kkt);
-        let scale = (0..k).map(|p| bufs.qr[(p, p)].abs()).fold(0.0f64, f64::max);
-        for p in 0..k {
-            bufs.qr[(p, p)] += 1e-10 * scale.max(1.0);
+        for q in 0..k {
+            for p in 0..k {
+                bufs.qr[(p, q)] *= inverse;
+            }
         }
         householder_factor(&mut bufs.qr, &mut bufs.tau, &mut bufs.v)?;
         bufs.y.clear();
         bufs.y.extend_from_slice(&bufs.rhs);
-        householder_solve_into(&bufs.qr, &bufs.tau, &mut bufs.y, &mut bufs.sol)?;
+        for c in &mut bufs.y[..k] {
+            *c *= inverse;
+        }
+        if householder_solve_into(&bufs.qr, &bufs.tau, &mut bufs.y, &mut bufs.sol).is_ok() {
+            bufs.sol.truncate(k);
+            return Ok(());
+        }
     }
-    // Drop the multiplier entry so callers read z as sol[..k].
+    // Singular KKT (duplicate columns in the support): fall back to a
+    // ridge-regularized system, which picks the minimum-norm split.
+    bufs.qr.copy_from(&bufs.kkt);
+    let scale = (0..k).map(|p| bufs.qr[(p, p)].abs()).fold(0.0f64, f64::max);
+    for p in 0..k {
+        bufs.qr[(p, p)] += 1e-10 * scale.max(1.0);
+    }
+    householder_factor(&mut bufs.qr, &mut bufs.tau, &mut bufs.v)?;
+    bufs.y.clear();
+    bufs.y.extend_from_slice(&bufs.rhs);
+    householder_solve_into(&bufs.qr, &bufs.tau, &mut bufs.y, &mut bufs.sol)?;
     bufs.sol.truncate(k);
     Ok(())
+}
+
+/// `2^-e` for the power of two `2^e` nearest `x` (in log scale), when
+/// `x` is a positive normal number and `2^-e` is one too.
+fn nearest_power_of_two_inverse(x: f64) -> Option<f64> {
+    if !x.is_normal() || x < 0.0 {
+        return None;
+    }
+    let bits = x.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    // Round up when the mantissa is at least √2.
+    let exponent = exponent + i64::from(bits & ((1 << 52) - 1) >= 0x0006_a09e_667f_3bcd);
+    let biased = 1023 - exponent;
+    (1..=2046)
+        .contains(&biased)
+        .then(|| f64::from_bits((biased as u64) << 52))
 }
 
 /// Clamps tiny negatives to zero and rescales so the vector sums to 1.

@@ -17,6 +17,8 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+mod shortest;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -145,11 +147,12 @@ pub(crate) fn write_array<T>(
     out.push(']');
 }
 
-/// Appends `v` as [`Json::Number`] renders it.
+/// Appends `v` as [`Json::Number`] renders it: a finite value as `{}`
+/// renders it (the shortest round-trip digits, no exponent), through
+/// [`shortest`].
 pub(crate) fn write_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        // `{}` on f64 round-trips and never emits exponent-less `inf`.
-        let _ = write!(out, "{v}");
+        shortest::write_shortest(out, v);
     } else {
         // JSON has no Inf/NaN; null is the conventional degradation.
         out.push_str("null");
@@ -336,11 +339,40 @@ fn attributes(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Bulk<Attrib
     let mut attributes = Vec::new();
     array_elements(bytes, pos, depth, |pos, depth| {
         attributes.push(fields(bytes, pos, depth, "values", |pos, depth| {
-            bulk_array(bytes, pos, depth, |pos, _| number(bytes, pos), Json::Number)
+            numbers(bytes, pos, depth)
         })?);
         Ok(())
     })?;
     Ok(Bulk::Typed(attributes))
+}
+
+/// An attribute's `values`. A compact array (`[` then short decimals
+/// each followed by `,` or `]`, no whitespace) is read in one loop over
+/// [`exact_decimal`]. At any other byte the loop rewinds to the `[` and
+/// [`bulk_array`] reads the array as ever, so every value and every error
+/// still comes from the general grammar: the loop takes only tokens that
+/// [`number`] would value the same, and only where [`array_elements`]
+/// would take the next `,` or `]`.
+fn numbers(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Bulk<f64>, JsonError> {
+    skip_ws(bytes, pos);
+    let start = *pos;
+    if depth > 0 && bytes.get(start) == Some(&b'[') {
+        *pos += 1;
+        let mut values = Vec::new();
+        while let Some(value) = exact_decimal(bytes, pos) {
+            values.push(value);
+            match bytes.get(*pos) {
+                Some(b',') => *pos += 1,
+                Some(b']') => {
+                    *pos += 1;
+                    return Ok(Bulk::Typed(values));
+                }
+                _ => break,
+            }
+        }
+        *pos = start;
+    }
+    bulk_array(bytes, pos, depth, |pos, _| number(bytes, pos), Json::Number)
 }
 
 /// The value at `*pos` as a [`Bulk`]. Each array element goes to `elem`,
@@ -1108,14 +1140,59 @@ pub(crate) mod tests {
             docs.push(format!(r#"{{"points":[["a","b",1],{}]}}"#, deep(n)));
             docs.push(format!(r#"{{"unknown":{},"points":[]}}"#, deep(n)));
         }
+        // Compact `values` arrays: one the one-loop reader takes whole,
+        // then one breaking it at each kind of byte it does not take.
+        let compact: Vec<String> = [
+            "[1,2.5,-3,0,-0,0.125,-0.0,9007199254740992,123456789012345678]",
+            "[ 1,2]",
+            "[1 ,2]",
+            "[1, 2]",
+            "[1,2 ]",
+            "[1,\n2]",
+            "[1,\t2,\r3]",
+            "[1,1e5,2]",
+            "[1,2E-3]",
+            "[1,12345678901234567890]",
+            "[1,9007199254740993]",
+            "[1,0.00000000000000000001]",
+            "[1,\"2\"]",
+            "[]",
+            "[1,]",
+            "[1,,2]",
+            "[,1]",
+            "[1,null,true,false]",
+            "[1,[2]]",
+            "[1,{\"a\":2}]",
+            "[1,+2,.5,1.]",
+            "[1,-]",
+            "[-1.5,--1]",
+            "[1.2.3]",
+            "[1}",
+            "[1]2",
+            "[1,2",
+            "{\"a\":1}",
+            "7",
+        ]
+        .iter()
+        .map(|values| {
+            format!(r#"{{"attributes":[{{"name":"x","values":{values}}},{{"values":[4]}}]}}"#)
+        })
+        .collect();
         let prefixes: Vec<String> = docs
             .iter()
             .take(12)
+            .chain(&compact)
             .flat_map(|doc| (0..doc.len()).filter_map(|n| doc.get(..n).map(str::to_owned)))
             .collect();
-        for doc in docs.iter().chain(&prefixes) {
+        for doc in docs.iter().chain(&compact).chain(&prefixes) {
             assert_typed_decoders_match(doc);
         }
+        // The first compact array really is typed.
+        let body = parse_crosswalk(&compact[0]).unwrap();
+        let Some(Bulk::Typed(attrs)) = body.bulk else {
+            panic!("attributes should be typed");
+        };
+        assert!(matches!(&attrs[0].bulk, Some(Bulk::Typed(v)) if v.len() == 9));
         // The depth cases really straddle the limit.
         let at_limit = format!(r#"{{"points":[["a","b",1],{}]}}"#, deep(MAX_DEPTH - 2));
         assert!(parse_triples(&at_limit, "points").is_ok());

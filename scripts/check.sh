@@ -200,6 +200,41 @@ if [ -n "$scatter_hits" ]; then
     exit 1
 fi
 
+echo "==> numbers print through the shortest-digit writer, not core::fmt"
+# Json::Number and the direct /crosswalk encoder print every f64 through
+# write_number, whose finite branch is the Ryū-based writer of
+# json/shortest.rs (DESIGN.md §7). A write!/format!/to_string in one of
+# these bodies brings back core::fmt's float path, about twice the cost
+# per number. Function-scoped like the gates above.
+fmt_hits=""
+while read -r file fns; do
+    for fn in $fns; do
+        found=$(awk -v fname="$fn" -v file="$file" '
+            in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
+            in_fn {
+                if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /write!\(|format!\(|format_args!\(|to_string\(/)
+                    print file ":" NR ": " $0
+                n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
+                depth += n - m
+                if (depth > 0) opened = 1
+                if (opened && depth <= 0) in_fn = 0
+            }
+            END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
+        ' "$file")
+        if [ -n "$found" ]; then
+            fmt_hits="${fmt_hits}${found}"$'\n'
+        fi
+    done
+done <<'EOF'
+crates/geoalign-serve/src/json.rs write_number
+crates/geoalign-serve/src/json/shortest.rs write_shortest d2d write_digits push_zeros
+EOF
+if [ -n "$fmt_hits" ]; then
+    echo "error: number formatting through core::fmt — print with json/shortest.rs:" >&2
+    echo "$fmt_hits" >&2
+    exit 1
+fi
+
 echo "==> metric naming: geoalign_<crate>_<name>_<unit>"
 # Every registered metric name is a literal "geoalign_..." string in a
 # src/ file; hold them all to the §8 convention so a scrape stays
@@ -345,6 +380,8 @@ crates/geoalign-linalg/src/sparse.rs matvec_into
 crates/geoalign-linalg/src/simplex_ls.rs fista_iterate active_set_iterate eq_constrained_ls_scratch project_to_simplex_into
 crates/geoalign-linalg/src/nnls.rs nnls_iterate
 crates/geoalign-core/src/prepare.rs apply_values_into
+crates/geoalign-serve/src/json.rs write_number
+crates/geoalign-serve/src/json/shortest.rs write_shortest d2d write_digits push_zeros
 EOF
 if [ -n "$alloc_hits" ]; then
     echo "error: allocation in a zero-alloc kernel core — route the buffer through the scratch arena:" >&2
@@ -372,6 +409,15 @@ GEOALIGN_THREADS=8 cargo test -q -p geoalign-cli --test cluster
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "==> number writer against {} over 1e8 values (release)"
+# The writer must print exactly what `{}` prints; perfbench's byte-identity
+# gate cannot see a wrong digit, because its oracle runs the same writer.
+# The tier-1 differential test covers 1M values; this one a hundred times
+# as many, over the same classes (random bits, binade edges, subnormals,
+# integers, short decimals, every binary exponent in -60..60, exact ties).
+cargo test -q --release -p geoalign-serve --lib -- --ignored --exact \
+    json::shortest::tests::writes_what_display_writes_long
 
 echo "==> build the bench binaries (geoalign-bench)"
 # `cargo build --release` above builds only the root package; the three
