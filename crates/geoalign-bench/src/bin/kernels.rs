@@ -14,6 +14,12 @@
 //! targets (`apply_batch_banded`, the shape of perfbench's references and
 //! of any crosswalk numbered in geographic order).
 //!
+//! Three request rows (`apply_request_1`, `_2`, `_4`, paper scale only)
+//! time one `/crosswalk`'s apply in perfbench's shape — 4 banded
+//! references at 30238×3142, a batch of 1, 2 or 4 attributes, on the
+//! global executor — in wall time and process CPU per call, against the
+//! per-attribute batch apply the fused kernel replaced.
+//!
 //! Two codec rows time a 2-attribute `/crosswalk`'s numbers:
 //! `json_write_number` prints the banded apply's estimates (and as many
 //! random bit patterns) with `{}` and with `Json`'s writer, after
@@ -23,7 +29,9 @@
 //!
 //! Writes `BENCH_kernels.json` (see `--out`). At the paper scale the
 //! binary additionally gates on the new kernels actually winning
-//! single-thread on gram, CSR matvec and the banded apply.
+//! single-thread on gram, CSR matvec and the banded apply, and on the
+//! fused apply spending no more CPU per request than the per-attribute
+//! one at 2 and 4 attributes.
 //!
 //! Usage: `kernels [--small|--medium|--paper] [--seed N] [--trials N]
 //!                 [--out BENCH_kernels.json]`
@@ -296,20 +304,9 @@ mod old {
         }
     }
 
-    /// The row-major mixture `PreparedCrosswalk::apply_values_into` ran
-    /// before it went target-major, rebuilt from public calls: weight
-    /// learning through the snapshot, then Eq. 14's scale-adapted weights
-    /// and per-row factors from the references' row sums, then a scatter
-    /// `estimate[j] += f * v` over each reference's CSR rows in
-    /// (reference, row) order. One scratch set per worker, as the
-    /// library's batch path has.
-    pub struct RowMajor<'a> {
-        prepared: &'a PreparedCrosswalk,
-        /// Per-reference disaggregation row sums, snapshotted once as
-        /// `prepare` does.
-        row_sums: Vec<Vec<f64>>,
-    }
-
+    /// One worker's arena for the transliterated applies below: the
+    /// weight-learning scratch plus the five `n_source` buffers of the
+    /// mixture's factor pass.
     #[derive(Default)]
     struct MixScratch {
         apply: ApplyScratch,
@@ -320,55 +317,86 @@ mod old {
         rf_fallback: Vec<f64>,
     }
 
+    /// One attribute's weights and per-row factors, as the mixture
+    /// computed them before the fused kernel: weight learning through the
+    /// snapshot, then Eq. 14's scale-adapted weights from a fresh scan of
+    /// each reference's row sums for its maximum, the weighted and
+    /// unweighted denominators, and the per-row factors.
+    fn learn_and_factor(
+        prepared: &PreparedCrosswalk,
+        row_sums: &[Vec<f64>],
+        objective: &AggregateVector,
+        s: &mut MixScratch,
+    ) -> Vec<f64> {
+        let weights = prepared
+            .learn_weights_scratch(objective, &mut s.apply)
+            .expect("weights");
+        s.adapted.clear();
+        s.adapted
+            .extend(weights.iter().zip(row_sums).map(|(&w, sums)| {
+                let m = sums.iter().copied().fold(0.0f64, f64::max);
+                if m > 0.0 {
+                    w / m
+                } else {
+                    0.0
+                }
+            }));
+        let n_source = prepared.n_source();
+        s.weighted.clear();
+        s.weighted.resize(n_source, 0.0);
+        s.unweighted.clear();
+        s.unweighted.resize(n_source, 0.0);
+        for (sums, &w) in row_sums.iter().zip(&s.adapted) {
+            for (i, &v) in sums.iter().enumerate() {
+                s.weighted[i] += w * v;
+                s.unweighted[i] += v;
+            }
+        }
+        let obj = objective.values();
+        s.rf_weighted.clear();
+        s.rf_weighted.resize(n_source, 0.0);
+        s.rf_fallback.clear();
+        s.rf_fallback.resize(n_source, 0.0);
+        #[allow(clippy::needless_range_loop)] // lockstep over four row slices
+        for i in 0..n_source {
+            if s.weighted[i] > 0.0 {
+                s.rf_weighted[i] = obj[i] / s.weighted[i];
+            } else if s.unweighted[i] > 0.0 {
+                s.rf_fallback[i] = obj[i] / s.unweighted[i];
+            }
+        }
+        weights
+    }
+
+    /// Per-reference disaggregation row sums, snapshotted once as
+    /// `prepare` does.
+    fn row_sums(prepared: &PreparedCrosswalk) -> Vec<Vec<f64>> {
+        prepared
+            .references()
+            .iter()
+            .map(|r| r.dm().matrix().row_sums())
+            .collect()
+    }
+
+    /// The row-major mixture `PreparedCrosswalk::apply_values_into` ran
+    /// before it went target-major, rebuilt from public calls: the factor
+    /// pass above, then a scatter `estimate[j] += f * v` over each
+    /// reference's CSR rows in (reference, row) order. One task per
+    /// attribute and one scratch set per worker, as the library's batch
+    /// path had.
+    pub struct RowMajor<'a> {
+        prepared: &'a PreparedCrosswalk,
+        row_sums: Vec<Vec<f64>>,
+    }
+
     impl<'a> RowMajor<'a> {
         pub fn new(prepared: &'a PreparedCrosswalk) -> Self {
-            let row_sums = prepared
-                .references()
-                .iter()
-                .map(|r| r.dm().matrix().row_sums())
-                .collect();
+            let row_sums = row_sums(prepared);
             Self { prepared, row_sums }
         }
 
         fn apply(&self, objective: &AggregateVector, s: &mut MixScratch) -> (Vec<f64>, Vec<f64>) {
-            let weights = self
-                .prepared
-                .learn_weights_scratch(objective, &mut s.apply)
-                .expect("weights");
-            s.adapted.clear();
-            s.adapted
-                .extend(weights.iter().zip(&self.row_sums).map(|(&w, sums)| {
-                    let m = sums.iter().copied().fold(0.0f64, f64::max);
-                    if m > 0.0 {
-                        w / m
-                    } else {
-                        0.0
-                    }
-                }));
-            let n_source = self.prepared.n_source();
-            s.weighted.clear();
-            s.weighted.resize(n_source, 0.0);
-            s.unweighted.clear();
-            s.unweighted.resize(n_source, 0.0);
-            for (sums, &w) in self.row_sums.iter().zip(&s.adapted) {
-                for (i, &v) in sums.iter().enumerate() {
-                    s.weighted[i] += w * v;
-                    s.unweighted[i] += v;
-                }
-            }
-            let obj = objective.values();
-            s.rf_weighted.clear();
-            s.rf_weighted.resize(n_source, 0.0);
-            s.rf_fallback.clear();
-            s.rf_fallback.resize(n_source, 0.0);
-            #[allow(clippy::needless_range_loop)] // lockstep over four row slices
-            for i in 0..n_source {
-                if s.weighted[i] > 0.0 {
-                    s.rf_weighted[i] = obj[i] / s.weighted[i];
-                } else if s.unweighted[i] > 0.0 {
-                    s.rf_fallback[i] = obj[i] / s.unweighted[i];
-                }
-            }
+            let weights = learn_and_factor(self.prepared, &self.row_sums, objective, s);
             let mut estimate = vec![0.0; self.prepared.n_target()];
             for (r, &bk) in self.prepared.references().iter().zip(&s.adapted) {
                 for (i, j, v) in r.dm().matrix().iter() {
@@ -393,11 +421,69 @@ mod old {
             .expect("batch")
         }
     }
+
+    /// The per-attribute batch apply the fused kernel replaced: one
+    /// executor task per attribute, a fresh arena per worker, the factor
+    /// pass above, and a one-register target-major walk over every
+    /// reference's transpose per attribute.
+    pub struct PerAttribute<'a> {
+        prepared: &'a PreparedCrosswalk,
+        row_sums: Vec<Vec<f64>>,
+        transposes: Vec<CsrMatrix>,
+    }
+
+    impl<'a> PerAttribute<'a> {
+        pub fn new(prepared: &'a PreparedCrosswalk) -> Self {
+            let transposes = prepared
+                .references()
+                .iter()
+                .map(|r| r.dm().matrix().transpose())
+                .collect();
+            Self {
+                prepared,
+                row_sums: row_sums(prepared),
+                transposes,
+            }
+        }
+
+        fn apply(&self, objective: &AggregateVector, s: &mut MixScratch) -> (Vec<f64>, Vec<f64>) {
+            let weights = learn_and_factor(self.prepared, &self.row_sums, objective, s);
+            let mut estimate = vec![0.0; self.prepared.n_target()];
+            for (j, out) in estimate.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (t, &bk) in self.transposes.iter().zip(&s.adapted) {
+                    let (rows, vals) = t.row(j);
+                    for (&i, &v) in rows.iter().zip(vals) {
+                        let i = i as usize;
+                        let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
+                        if f != 0.0 {
+                            acc += f * v;
+                        }
+                    }
+                }
+                *out = acc;
+            }
+            (estimate, weights)
+        }
+
+        /// Estimates and weights per objective, in input order.
+        pub fn apply_batch_with(
+            &self,
+            objectives: &[AggregateVector],
+            exec: Executor,
+        ) -> Vec<(Vec<f64>, Vec<f64>)> {
+            exec.run_tasks_with(objectives.len(), MixScratch::default, |s, i| {
+                self.apply(&objectives[i], s)
+            })
+            .expect("batch")
+        }
+    }
 }
 
 /// One benchmark universe: a dense design matrix (gram + solver), a
 /// sparse crosswalk matrix (matvec), prepared references with a query
 /// batch (apply), and jittered-grid dimensions (overlay).
+#[derive(Clone, Copy)]
 struct Scale {
     name: &'static str,
     n_source: usize,
@@ -497,16 +583,8 @@ fn previous_row_share(mats: &[CsrMatrix]) -> f64 {
     shared as f64 / total.max(1) as f64
 }
 
-/// Old-vs-new `apply_batch` over references with the given matrices:
-/// asserts the row-major mixture and the library's batch apply
-/// bit-identical at 1, 2 and 8 threads, then times both. Also returns
-/// the batch's estimates, one vector per objective.
-fn apply_timings(
-    scale: &Scale,
-    mats: &[CsrMatrix],
-    objectives: &[AggregateVector],
-    trials: usize,
-) -> (KernelTimings, Vec<Vec<f64>>) {
+/// A snapshot over references with the given matrices.
+fn prepared_over(scale: &Scale, mats: &[CsrMatrix]) -> PreparedCrosswalk {
     let refs: Vec<ReferenceData> = mats
         .iter()
         .enumerate()
@@ -523,7 +601,20 @@ fn apply_timings(
         })
         .collect();
     let ref_slices: Vec<&ReferenceData> = refs.iter().collect();
-    let prepared = GeoAlign::new().prepare(&ref_slices).expect("prepare");
+    GeoAlign::new().prepare(&ref_slices).expect("prepare")
+}
+
+/// Old-vs-new `apply_batch` over references with the given matrices:
+/// asserts the row-major mixture and the library's batch apply
+/// bit-identical at 1, 2 and 8 threads, then times both. Also returns
+/// the batch's estimates, one vector per objective.
+fn apply_timings(
+    scale: &Scale,
+    mats: &[CsrMatrix],
+    objectives: &[AggregateVector],
+    trials: usize,
+) -> (KernelTimings, Vec<Vec<f64>>) {
+    let prepared = prepared_over(scale, mats);
     let row_major = old::RowMajor::new(&prepared);
     let seq = Executor::sequential();
     let t8 = Executor::new(8);
@@ -563,6 +654,120 @@ fn apply_timings(
         .map(|applied| applied.estimate)
         .collect();
     (timings, estimates)
+}
+
+/// Process CPU time in seconds: utime + stime of every thread, live or
+/// exited, from `/proc/self/stat`, whose clock ticks are USER_HZ (100 a
+/// second on Linux).
+fn process_cpu_s() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
+    let (_, rest) = stat.rsplit_once(')').expect("stat: command name");
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    let ticks = |k: usize| fields[k].parse::<u64>().expect("stat: clock ticks");
+    (ticks(11) + ticks(12)) as f64 / 100.0
+}
+
+/// Process CPU the request rows accumulate on each side, so that the
+/// 10 ms tick of `/proc/self/stat` is at most 1% of it.
+const REQUEST_CPU_S: f64 = 1.0;
+
+/// Wall time and process CPU per call of `f`, in ms, over as many calls
+/// (after one warm-up) as it takes the process to spend
+/// [`REQUEST_CPU_S`] of CPU; also returns the call count.
+fn wall_and_cpu_ms<R>(mut f: impl FnMut() -> R) -> (f64, f64, usize) {
+    black_box(f());
+    let (t0, cpu0) = (Instant::now(), process_cpu_s());
+    let mut calls = 0;
+    loop {
+        black_box(f());
+        calls += 1;
+        let cpu = process_cpu_s() - cpu0;
+        if cpu >= REQUEST_CPU_S {
+            let per_call = |s: f64| s * 1e3 / calls as f64;
+            return (per_call(t0.elapsed().as_secs_f64()), per_call(cpu), calls);
+        }
+    }
+}
+
+/// One `/crosswalk`'s apply in perfbench's shape, old against new.
+struct RequestTimings {
+    attributes: usize,
+    old_wall_ms: f64,
+    new_wall_ms: f64,
+    old_cpu_ms: f64,
+    new_cpu_ms: f64,
+    old_calls: usize,
+    new_calls: usize,
+}
+
+impl RequestTimings {
+    fn json(&self) -> String {
+        format!(
+            "      \"apply_request_{}\": {{ \"attributes\": {}, \"old_wall_ms\": {:.4}, \"new_wall_ms\": {:.4}, \"old_cpu_ms\": {:.4}, \"new_cpu_ms\": {:.4}, \"cpu_ratio\": {:.3}, \"old_calls\": {}, \"new_calls\": {} }}",
+            self.attributes,
+            self.attributes,
+            self.old_wall_ms,
+            self.new_wall_ms,
+            self.old_cpu_ms,
+            self.new_cpu_ms,
+            self.new_cpu_ms / self.old_cpu_ms,
+            self.old_calls,
+            self.new_calls
+        )
+    }
+}
+
+/// The request rows: 4 banded references at the scale's size (perfbench
+/// uses 30238×3142), batches of 1, 2 and 4 attributes. Asserts the
+/// per-attribute apply and the library's fused batch apply bit-identical
+/// at 1, 2 and 8 threads and on the global executor, then times both on
+/// the global executor.
+fn request_timings(scale: &Scale, state: &mut u64) -> Vec<RequestTimings> {
+    let shape = Scale { refs: 4, ..*scale };
+    let mats: Vec<CsrMatrix> = (0..shape.refs).map(|_| banded_csr(&shape, state)).collect();
+    let prepared = prepared_over(&shape, &mats);
+    let per_attribute = old::PerAttribute::new(&prepared);
+    let global = Executor::global();
+    [1usize, 2, 4]
+        .into_iter()
+        .map(|attributes| {
+            let objectives: Vec<AggregateVector> = (0..attributes)
+                .map(|a| {
+                    let values = (0..shape.n_source).map(|_| lcg(state) * 100.0).collect();
+                    AggregateVector::new(format!("attr{a}"), values).expect("objective")
+                })
+                .collect();
+            for exec in [
+                Executor::sequential(),
+                Executor::new(2),
+                Executor::new(8),
+                global,
+            ] {
+                let old_batch = per_attribute.apply_batch_with(&objectives, exec);
+                let new_batch = prepared.apply_batch_with(&objectives, exec).expect("batch");
+                for ((estimate, weights), n) in old_batch.iter().zip(&new_batch) {
+                    assert_bits_eq(estimate, &n.estimate, "apply_request old-vs-new");
+                    assert_bits_eq(weights, &n.weights, "apply_request weights");
+                }
+            }
+            let (old_wall_ms, old_cpu_ms, old_calls) =
+                wall_and_cpu_ms(|| per_attribute.apply_batch_with(&objectives, global));
+            let (new_wall_ms, new_cpu_ms, new_calls) = wall_and_cpu_ms(|| {
+                prepared
+                    .apply_batch_with(&objectives, global)
+                    .expect("batch")
+            });
+            RequestTimings {
+                attributes,
+                old_wall_ms,
+                new_wall_ms,
+                old_cpu_ms,
+                new_cpu_ms,
+                old_calls,
+                new_calls,
+            }
+        })
+        .collect()
 }
 
 /// `{}` into one JSON array, as `Json::Number` printed before it had its
@@ -853,6 +1058,13 @@ fn main() {
         let (apply, _) = apply_timings(scale, &scattered, &objectives, trials);
         let (apply_banded, estimates) = apply_timings(scale, &banded, &objectives, trials);
 
+        // --- one /crosswalk's apply in perfbench's shape (paper only) ------
+        let requests = if scale.name == "paper" {
+            request_timings(scale, &mut state)
+        } else {
+            Vec::new()
+        };
+
         // --- JSON codec: a 2-attribute /crosswalk's numbers ---------------
         // The response's estimates (banded references, as perfbench's),
         // and as many random finite bit patterns.
@@ -925,6 +1137,18 @@ fn main() {
                 apply_banded.old_seq_ns / 1e6,
                 apply_banded.new_seq_ns / 1e6
             );
+            // On any host: fusing saves CPU once a request has two
+            // attributes (one attribute fans its walk out instead).
+            for r in requests.iter().filter(|r| r.attributes >= 2) {
+                assert!(
+                    r.new_cpu_ms <= r.old_cpu_ms,
+                    "the fused apply must spend no more CPU than the per-attribute apply at {} \
+                     attributes: old {:.3} ms vs new {:.3} ms",
+                    r.attributes,
+                    r.old_cpu_ms,
+                    r.new_cpu_ms
+                );
+            }
         }
         for (label, t) in [
             ("gram", &gram),
@@ -939,6 +1163,12 @@ fn main() {
                 t.old_seq_ns / 1e6,
                 t.new_seq_ns / 1e6,
                 t.old_seq_ns / t.new_seq_ns.max(1.0)
+            );
+        }
+        for r in &requests {
+            eprintln!(
+                "apply_request_{} @{}: wall {:.3} -> {:.3} ms, cpu {:.3} -> {:.3} ms per call",
+                r.attributes, scale.name, r.old_wall_ms, r.new_wall_ms, r.old_cpu_ms, r.new_cpu_ms
             );
         }
         eprintln!(
@@ -995,6 +1225,10 @@ fn main() {
         block.push_str(",\n");
         block.push_str(&apply_banded.json("apply_batch_banded"));
         block.push_str(",\n");
+        for r in &requests {
+            block.push_str(&r.json());
+            block.push_str(",\n");
+        }
         let _ = writeln!(
             block,
             "      \"json_write_number\": {{ \"estimates\": {}, \"estimates_display_ns_per_number\": {:.2}, \"estimates_writer_ns_per_number\": {:.2}, \"estimates_speedup\": {:.3}, \"random_bits\": {}, \"random_bits_display_ns_per_number\": {:.2}, \"random_bits_writer_ns_per_number\": {:.2}, \"random_bits_speedup\": {:.3} }},",

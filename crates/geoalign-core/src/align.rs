@@ -288,66 +288,47 @@ pub(crate) fn disaggregate_with(
 
 /// The effective weights `β'_k = β_k / max_i a_rk^s[i]` of Eq. 14.
 pub(crate) fn scale_adapted_weights(weights: &[f64], row_sums_per_ref: &[Vec<f64>]) -> Vec<f64> {
-    let mut out = Vec::new();
-    scale_adapted_weights_into(weights, row_sums_per_ref, &mut out);
-    out
+    weights
+        .iter()
+        .zip(row_sums_per_ref)
+        .map(|(&w, sums)| adapted_weight(w, row_sum_max(sums)))
+        .collect()
 }
 
-/// [`scale_adapted_weights`] into a reusable buffer (cleared and
-/// overwritten) for the allocation-free apply path.
-pub(crate) fn scale_adapted_weights_into(
-    weights: &[f64],
-    row_sums_per_ref: &[Vec<f64>],
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.extend(weights.iter().zip(row_sums_per_ref).map(|(&w, sums)| {
-        let m = sums.iter().copied().fold(0.0f64, f64::max);
-        if m > 0.0 {
-            w / m
-        } else {
-            0.0
-        }
-    }));
+/// `max_i a_rk^s[i]`, the scale of one reference's row sums (`0.0` for
+/// none). A prepared snapshot keeps it per reference, so a query never
+/// re-scans the row sums.
+pub(crate) fn row_sum_max(sums: &[f64]) -> f64 {
+    sums.iter().copied().fold(0.0f64, f64::max)
 }
 
-/// Weighted and unweighted per-source-unit denominators of Eq. 14.
+/// One reference's `β'_k = β_k / max_i a_rk^s[i]`, or `0.0` when the
+/// reference has no mass.
+#[inline]
+pub(crate) fn adapted_weight(weight: f64, row_sum_max: f64) -> f64 {
+    if row_sum_max > 0.0 {
+        weight / row_sum_max
+    } else {
+        0.0
+    }
+}
+
+/// Weighted and unweighted per-source-unit denominators of Eq. 14, each
+/// summed over the references in order from `+0.0`.
 pub(crate) fn row_denominators(
     row_sums_per_ref: &[Vec<f64>],
     adapted: &[f64],
     n_source: usize,
 ) -> (Vec<f64>, Vec<f64>) {
-    let mut weighted = Vec::new();
-    let mut unweighted = Vec::new();
-    row_denominators_into(
-        row_sums_per_ref,
-        adapted,
-        n_source,
-        &mut weighted,
-        &mut unweighted,
-    );
-    (weighted, unweighted)
-}
-
-/// [`row_denominators`] into reusable buffers (cleared and overwritten)
-/// for the allocation-free apply path.
-pub(crate) fn row_denominators_into(
-    row_sums_per_ref: &[Vec<f64>],
-    adapted: &[f64],
-    n_source: usize,
-    weighted: &mut Vec<f64>,
-    unweighted: &mut Vec<f64>,
-) {
-    weighted.clear();
-    weighted.resize(n_source, 0.0);
-    unweighted.clear();
-    unweighted.resize(n_source, 0.0);
+    let mut weighted = vec![0.0; n_source];
+    let mut unweighted = vec![0.0; n_source];
     for (sums, &w) in row_sums_per_ref.iter().zip(adapted) {
         for (i, &v) in sums.iter().enumerate() {
             weighted[i] += w * v;
             unweighted[i] += v;
         }
     }
+    (weighted, unweighted)
 }
 
 #[cfg(test)]

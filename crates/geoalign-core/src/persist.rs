@@ -29,7 +29,7 @@
 //!   crosswalk; the explicit lengths keep names containing `/`
 //!   unambiguous.
 
-use crate::align::GeoAlignConfig;
+use crate::align::{row_sum_max, GeoAlignConfig};
 use crate::error::CoreError;
 use crate::prepare::{transpose_of, PreparedCrosswalk};
 use crate::reference::ReferenceData;
@@ -558,9 +558,11 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
             });
         }
     }
-    // The transposes are derived state: rebuilt from the decoded
-    // references, so the encoded bytes carry none of them.
+    // The transposes and row-sum maxima are derived state: rebuilt from
+    // the decoded references and row sums, so the encoded bytes carry
+    // none of them.
     let transposes = refs.iter().map(transpose_of).collect();
+    let row_sum_max = row_sums_per_ref.iter().map(|s| row_sum_max(s)).collect();
     Ok(PreparedCrosswalk {
         config: GeoAlignConfig { solver, normalize },
         refs,
@@ -568,6 +570,7 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<PreparedCrosswalk, CoreError> {
         design,
         gram,
         row_sums_per_ref,
+        row_sum_max,
         n_source,
         n_target,
         prepare_time: Duration::from_micros(prepare_micros),

@@ -18,41 +18,51 @@
 //! to `estimate(v, refs)` — not merely close.
 
 use crate::align::{
-    disaggregate_with, row_denominators_into, scale_adapted_weights_into, GeoAlign, GeoAlignConfig,
-    GeoAlignResult, PhaseTimings,
+    adapted_weight, disaggregate_with, row_sum_max, GeoAlign, GeoAlignConfig, GeoAlignResult,
+    PhaseTimings,
 };
 use crate::error::CoreError;
 use crate::reference::{validate_references, ReferenceData};
+use geoalign_exec::Executor;
 use geoalign_linalg::dense::dot;
 use geoalign_linalg::simplex_ls::{self, GramSystem};
 use geoalign_linalg::{CsrMatrix, DMatrix, SolverScratch};
 use geoalign_obs::span;
 use geoalign_partition::AggregateVector;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Attributes per fused apply: a batch is cut into groups of up to this
+/// many consecutive objectives, and each group's mixture reads every
+/// transpose entry once for all of its attributes (DESIGN.md §15).
+const GROUP: usize = 4;
+
+/// Work (transpose entries × attributes) from which a group's mixture
+/// walk is split by target chunk across the executor. Every paper-scale
+/// request (241,575 entries) is above it; every cluster-small request
+/// (one 400×40 reference) is below it.
+const SPLIT_MIN_WORK: usize = 1 << 16;
+
 /// Reusable working memory for [`PreparedCrosswalk::apply_values`]: the
-/// normalized objective, right-hand-side products, Eq. 14 denominators
-/// and per-row factors, plus the solver arena. One arena per thread
-/// (never shared — [`PreparedCrosswalk::apply_batch_with`] creates one
-/// per worker); buffers carry capacity between queries, never values.
-/// See DESIGN.md §15 for the ownership and bit-identity rules.
+/// normalized objective, right-hand-side products, the scale-adapted
+/// weights and the per-row factor table, plus the solver arena. One arena per
+/// caller, or per worker of a batch of several groups; buffers carry
+/// capacity between queries, never values. See DESIGN.md §15 for the
+/// ownership and bit-identity rules.
 #[derive(Debug, Default)]
 pub struct ApplyScratch {
     /// Normalized (or copied) objective vector `b`.
     b: Vec<f64>,
     /// Right-hand side `Aᵀb`.
     atb: Vec<f64>,
-    /// Scale-adapted weights `β'`.
+    /// Scale-adapted weights `β'`, reference-major: slot `k·N + a` holds
+    /// reference `k`'s weight for attribute `a` of the group.
     adapted: Vec<f64>,
-    /// Weighted denominators of Eq. 14.
-    weighted: Vec<f64>,
-    /// Unweighted denominators (fallback mass).
-    unweighted: Vec<f64>,
-    /// Per-row weighted-mixture factors.
-    rf_weighted: Vec<f64>,
-    /// Per-row uniform-fallback factors.
-    rf_fallback: Vec<f64>,
+    /// Per-row factors, row-major by attribute: slot `(i·N + a)·2` holds
+    /// row `i`'s weighted-mixture factor for attribute `a`, and the next
+    /// slot its uniform-fallback factor.
+    factors: Vec<f64>,
     /// Simplex-solver arena threaded into `solve_gram_scratch`.
     solver: SolverScratch,
 }
@@ -69,9 +79,10 @@ impl ApplyScratch {
 /// ready to be applied to any number of objective vectors.
 ///
 /// A snapshot shares its references' matrices (a [`ReferenceData`] clone
-/// is a pointer copy) and owns one thing per reference the references do
+/// is a pointer copy) and owns two things per reference the references do
 /// not have: the disaggregation matrix transposed, target-major, which is
-/// what the serving mixture walks. Snapshots derived from one another by
+/// what the serving mixture walks, and the largest of its row sums, which
+/// scales the reference's weight. Snapshots derived from one another by
 /// [`PreparedCrosswalk::with_reference_updated`] share the transposes of
 /// every reference that did not change as well.
 #[derive(Debug, Clone)]
@@ -90,6 +101,9 @@ pub struct PreparedCrosswalk {
     pub(crate) gram: GramSystem,
     /// Per-reference disaggregation-matrix row sums (Eq. 14 denominators).
     pub(crate) row_sums_per_ref: Vec<Vec<f64>>,
+    /// The largest of each reference's row sums, the scale `β'` divides
+    /// by. Derived from `row_sums_per_ref`, never persisted.
+    pub(crate) row_sum_max: Vec<f64>,
     pub(crate) n_source: usize,
     pub(crate) n_target: usize,
     pub(crate) prepare_time: Duration,
@@ -134,6 +148,7 @@ impl GeoAlign {
         };
         let row_sums_per_ref: Vec<Vec<f64>> =
             refs.iter().map(|r| r.dm().matrix().row_sums()).collect();
+        let row_sum_max = row_sums_per_ref.iter().map(|s| row_sum_max(s)).collect();
         geoalign_obs::cost::add_rows(n_source as u64);
         geoalign_obs::cost::add_cells(
             refs.iter()
@@ -149,6 +164,7 @@ impl GeoAlign {
             design,
             gram,
             row_sums_per_ref,
+            row_sum_max,
             n_source,
             n_target,
             prepare_time: t0.elapsed(),
@@ -215,9 +231,9 @@ impl PreparedCrosswalk {
     /// whole. This is what lets a streaming server fold `/ingest` batches
     /// in and still answer exactly like a cold batch run.
     ///
-    /// Only the updated reference is transposed; every other reference
-    /// and transpose is shared with `self` (a pointer copy, not a copy of
-    /// its matrix).
+    /// Only the updated reference is transposed and scanned for its
+    /// largest row sum; every other reference and transpose is shared
+    /// with `self` (a pointer copy, not a copy of its matrix).
     ///
     /// Returns the new snapshot plus the number of *touched rows*: source
     /// units whose design-column value actually changed (all nonzero rows,
@@ -276,18 +292,22 @@ impl PreparedCrosswalk {
         let design = DMatrix::from_columns(&columns)?;
         let gram = self.gram.with_updated_column(&design, index)?;
         let row_sums = reference.dm().matrix().row_sums();
+        let max = row_sum_max(&row_sums);
         let transpose = transpose_of(&reference);
         let mut refs = self.refs.clone();
         let mut transposes = self.transposes.clone();
         let mut row_sums_per_ref = self.row_sums_per_ref.clone();
+        let mut row_sum_max = self.row_sum_max.clone();
         if index < refs.len() {
             refs[index] = reference;
             transposes[index] = transpose;
             row_sums_per_ref[index] = row_sums;
+            row_sum_max[index] = max;
         } else {
             refs.push(reference);
             transposes.push(transpose);
             row_sums_per_ref.push(row_sums);
+            row_sum_max.push(max);
         }
         crate::obs::incremental_rows().add(touched as u64);
         let prepared = PreparedCrosswalk {
@@ -297,6 +317,7 @@ impl PreparedCrosswalk {
             design,
             gram,
             row_sums_per_ref,
+            row_sum_max,
             n_source: self.n_source,
             n_target: self.n_target,
             prepare_time: t0.elapsed(),
@@ -373,127 +394,295 @@ impl PreparedCrosswalk {
     /// [`PreparedCrosswalk::apply_values`] through a reusable
     /// [`ApplyScratch`]: identical arithmetic in the identical order —
     /// the result is bit-for-bit the same — but a repeated query only
-    /// allocates its two outputs (the estimate and the weights).
+    /// allocates its two outputs (the estimate and the weights). Runs on
+    /// the calling thread alone.
     pub fn apply_values_scratch(
         &self,
         objective_source: &AggregateVector,
         scratch: &mut ApplyScratch,
     ) -> Result<CrosswalkEstimate, CoreError> {
-        self.check_objective(objective_source)?;
-        let _apply_span = span!("apply", refs = self.refs.len(), n_source = self.n_source);
-        self.attribute_apply_cost();
-        let t_apply = Instant::now();
-        // Output allocation: the estimate the caller keeps.
-        let mut estimate = vec![0.0; self.n_target];
-        let (weights, timings) =
-            self.apply_values_into(objective_source, &mut estimate, scratch)?;
-        crate::obs::apply_micros().record(t_apply.elapsed());
-        Ok(CrosswalkEstimate {
-            estimate,
-            weights,
-            timings,
-        })
+        let [applied] = self.apply_group::<1>(
+            std::slice::from_ref(objective_source),
+            scratch,
+            Executor::sequential(),
+        )?;
+        Ok(applied)
     }
 
-    /// The allocation-free apply core: sums the estimate into the
-    /// caller's `estimate` slice (length `n_target`, fully overwritten)
-    /// through the scratch arena. Zero heap allocations here once the
-    /// arena has grown to the problem size (enforced by check.sh's
-    /// hot-loop gate — keep `.clone()`/`to_vec()`/`vec![` out); the
-    /// returned weights are the solver wrapper's output allocation.
-    ///
-    /// The mixture is target-major: each target's estimate is summed in
-    /// one register over the references' transposes, adding
-    /// `f_k(i) · DM_k[i, j]` over `(k, i)` ascending, which are the
-    /// additions a row-major scatter `est[j] += …` makes, in the same
-    /// order, so the bits are the same (DESIGN.md §15). The register
-    /// starts at `+0.0`, the value the scatter's zero-filled slot starts
-    /// from, so a target no reference reaches stays `+0.0`.
-    fn apply_values_into(
+    /// Applies one group of `N` objectives: allocates their estimates,
+    /// runs [`PreparedCrosswalk::apply_values_into`], and records one
+    /// `apply_micros` sample and one cost-scope charge per attribute.
+    fn apply_group<const N: usize>(
         &self,
-        objective_source: &AggregateVector,
-        estimate: &mut [f64],
+        objectives: &[AggregateVector],
         s: &mut ApplyScratch,
-    ) -> Result<(Vec<f64>, PhaseTimings), CoreError> {
-        let mut timings = PhaseTimings::default();
+        exec: Executor,
+    ) -> Result<[CrosswalkEstimate; N], CoreError> {
+        let objectives: &[AggregateVector; N] = objectives
+            .try_into()
+            .expect("a group holds exactly N objectives");
+        let _apply_span = span!(
+            "apply",
+            refs = self.refs.len(),
+            n_source = self.n_source,
+            attributes = N
+        );
+        // Output allocations: the estimates the caller keeps.
+        let mut estimates: [Vec<f64>; N] = std::array::from_fn(|_| vec![0.0; self.n_target]);
+        let learned = self.apply_values_into(
+            objectives,
+            estimates.each_mut().map(|e| &mut e[..]),
+            s,
+            exec,
+        )?;
+        let mut estimates = estimates.into_iter();
+        Ok(learned.map(|(weights, timings)| {
+            self.attribute_apply_cost();
+            crate::obs::apply_micros().record(timings.weight_learning + timings.disaggregation);
+            CrosswalkEstimate {
+                estimate: estimates.next().expect("one estimate per attribute"),
+                weights,
+                timings,
+            }
+        }))
+    }
 
-        let t0 = Instant::now();
-        let weights = {
-            let _span = span!("weight_learning");
-            self.learn_weights_scratch(objective_source, s)?
-        };
-        timings.weight_learning = t0.elapsed();
+    /// The allocation-free apply core for a group of `N` = 1..=4
+    /// attributes: sums attribute `a`'s estimate into `estimates[a]`
+    /// (length `n_target`, fully overwritten) through the scratch arena,
+    /// and returns each attribute's weights (the solver wrapper's output
+    /// allocation) and timings. Zero heap allocations here once the arena
+    /// has grown to the problem size, unless the walk is split (enforced
+    /// by check.sh's hot-loop gate — keep `.clone()`/`to_vec()`/`vec![`
+    /// out).
+    ///
+    /// It learns each attribute's weights in input order, then writes
+    /// every attribute's per-row factors in one pass
+    /// ([`PreparedCrosswalk::write_factors`]), then one target-major walk
+    /// ([`PreparedCrosswalk::walk_targets`]) reads each transpose entry
+    /// once and adds it into one register per attribute. Attribute `a`'s
+    /// factors and register get exactly the operations a one-attribute
+    /// apply makes, in the same order, so every estimate keeps its bits
+    /// (DESIGN.md §15). The first attribute whose weight learning fails
+    /// decides the error.
+    ///
+    /// `weight_learning` is each attribute's own time; `disaggregation` is
+    /// `1/N` of the group's factor pass and walk.
+    fn apply_values_into<const N: usize>(
+        &self,
+        objectives: &[AggregateVector; N],
+        estimates: [&mut [f64]; N],
+        s: &mut ApplyScratch,
+        exec: Executor,
+    ) -> Result<[(Vec<f64>, PhaseTimings); N], CoreError> {
+        let mut learned: [(Vec<f64>, PhaseTimings); N] =
+            std::array::from_fn(|_| (Vec::new(), PhaseTimings::default()));
+        for (objective, (weights, timings)) in objectives.iter().zip(&mut learned) {
+            let t0 = Instant::now();
+            *weights = {
+                let _span = span!("weight_learning");
+                self.learn_weights_scratch(objective, s)?
+            };
+            timings.weight_learning = t0.elapsed();
+        }
 
         let t1 = Instant::now();
-        let _disagg_span = span!("disaggregation");
-        scale_adapted_weights_into(&weights, &self.row_sums_per_ref, &mut s.adapted);
-        row_denominators_into(
-            &self.row_sums_per_ref,
-            &s.adapted,
-            self.n_source,
-            &mut s.weighted,
-            &mut s.unweighted,
-        );
-        let obj = objective_source.values();
-        // Per-row factors: the weighted-mixture factor and the uniform
-        // fallback factor; exactly one of the two is nonzero per live row.
-        s.rf_weighted.clear();
-        s.rf_weighted.resize(self.n_source, 0.0);
-        s.rf_fallback.clear();
-        s.rf_fallback.resize(self.n_source, 0.0);
-        #[allow(clippy::needless_range_loop)] // lockstep over four row slices
-        for i in 0..self.n_source {
-            if s.weighted[i] > 0.0 {
-                s.rf_weighted[i] = obj[i] / s.weighted[i];
-            } else if s.unweighted[i] > 0.0 {
-                s.rf_fallback[i] = obj[i] / s.unweighted[i];
+        {
+            let _span = span!("disaggregation", attributes = N);
+            self.write_factors(objectives, learned.each_ref().map(|(w, _)| &w[..]), s);
+            self.walk::<N>(&s.adapted, &s.factors, estimates, exec)?;
+        }
+        let share = t1.elapsed() / N as u32;
+        for (_, timings) in &mut learned {
+            timings.disaggregation = share;
+        }
+        Ok(learned)
+    }
+
+    /// The group's factor pass. Attribute `a`'s scale-adapted weights
+    /// `β'_k = β_k / row_sum_max[k]` go into slot `k·N + a` of the
+    /// adapted table. Then, row by row, it sums the weighted denominators
+    /// `Σ_k β'_k · rowsum_k[i]` of every attribute and the unweighted
+    /// `Σ_k rowsum_k[i]` (each over `k` ascending from `+0.0`, as the
+    /// one-attribute denominators are summed), and writes attribute `a`'s
+    /// weighted-mixture and fallback factors into slots `(i·N + a)·2` and
+    /// `+1` of the factor table; exactly one of the two is nonzero per
+    /// live row.
+    fn write_factors<const N: usize>(
+        &self,
+        objectives: &[AggregateVector; N],
+        weights: [&[f64]; N],
+        s: &mut ApplyScratch,
+    ) {
+        s.adapted.clear();
+        s.adapted.resize(self.refs.len() * N, 0.0);
+        let adapted = s.adapted.chunks_exact_mut(N).zip(&self.row_sum_max);
+        for (k, (betas, &max)) in adapted.enumerate() {
+            for (b, w) in betas.iter_mut().zip(weights) {
+                *b = adapted_weight(w[k], max);
             }
         }
-        for (j, out) in estimate.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (t, &bk) in self.transposes.iter().zip(&s.adapted) {
+        s.factors.clear();
+        s.factors.resize(self.n_source * N * 2, 0.0);
+        let obj = objectives.each_ref().map(|o| o.values());
+        for (i, row) in s.factors.chunks_exact_mut(2 * N).enumerate() {
+            let mut weighted = [0.0f64; N];
+            let mut unweighted = 0.0f64;
+            for (sums, betas) in self.row_sums_per_ref.iter().zip(s.adapted.chunks_exact(N)) {
+                let v = sums[i];
+                for (d, &b) in weighted.iter_mut().zip(betas) {
+                    *d += b * v;
+                }
+                unweighted += v;
+            }
+            for a in 0..N {
+                let o = obj[a][i];
+                let (w, f) = if weighted[a] > 0.0 {
+                    (o / weighted[a], 0.0)
+                } else if unweighted > 0.0 {
+                    (0.0, o / unweighted)
+                } else {
+                    (0.0, 0.0)
+                };
+                row[2 * a] = w;
+                row[2 * a + 1] = f;
+            }
+        }
+    }
+
+    /// The group's mixture over every target: split by
+    /// [`Executor::chunk_ranges`] across `exec` when the walk is large
+    /// (`Σ_k nnz(DM_k) · N ≥ SPLIT_MIN_WORK`) and `exec` has more than
+    /// one thread, on the caller otherwise. A chunk writes only its own
+    /// targets and the bounds depend only on `n_target` (DESIGN.md §9),
+    /// so splitting changes no bit.
+    fn walk<const N: usize>(
+        &self,
+        adapted: &[f64],
+        factors: &[f64],
+        estimates: [&mut [f64]; N],
+        exec: Executor,
+    ) -> Result<(), CoreError> {
+        let entries: usize = self.transposes.iter().map(|t| t.nnz()).sum();
+        if entries * N < SPLIT_MIN_WORK || exec.threads() == 1 {
+            self.walk_targets::<N>(adapted, factors, 0..self.n_target, estimates);
+            return Ok(());
+        }
+        // One cell per chunk: its targets and the N estimate slices it
+        // alone writes.
+        let mut rest = estimates;
+        let cells: Vec<_> = Executor::chunk_ranges(self.n_target)
+            .map(|targets| {
+                let out: [&mut [f64]; N] = std::array::from_fn(|a| {
+                    let (head, tail) = std::mem::take(&mut rest[a]).split_at_mut(targets.len());
+                    rest[a] = tail;
+                    head
+                });
+                Mutex::new((targets, out))
+            })
+            .collect();
+        exec.for_each_indexed(cells.len(), |c| {
+            let mut cell = cells[c]
+                .lock()
+                .expect("a walk chunk is locked by its task alone");
+            let (targets, out) = &mut *cell;
+            self.walk_targets::<N>(
+                adapted,
+                factors,
+                targets.clone(),
+                out.each_mut().map(|o| &mut **o),
+            );
+        })?;
+        Ok(())
+    }
+
+    /// The target-major mixture over `targets`: for each target `j`, one
+    /// register per attribute starts at `+0.0`; for each reference `k` in
+    /// order and each `(i, v)` in row `j` of `DM_kᵀ`, attribute `a` adds
+    /// `f · v` whenever `f = β'_k[a] · F[i][a].w + F[i][a].f` is nonzero;
+    /// then `out[a][j - targets.start]` takes register `a`.
+    fn walk_targets<const N: usize>(
+        &self,
+        adapted: &[f64],
+        factors: &[f64],
+        targets: Range<usize>,
+        mut out: [&mut [f64]; N],
+    ) {
+        for (jj, j) in targets.enumerate() {
+            let mut acc = [0.0f64; N];
+            for (t, betas) in self.transposes.iter().zip(adapted.chunks_exact(N)) {
+                let betas: &[f64; N] = betas.try_into().expect("N weights per reference");
                 let (rows, vals) = t.row(j);
                 for (&i, &v) in rows.iter().zip(vals) {
-                    let i = i as usize;
-                    let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
-                    if f != 0.0 {
-                        acc += f * v;
+                    let row = &factors[i as usize * 2 * N..][..2 * N];
+                    for a in 0..N {
+                        let f = betas[a] * row[2 * a] + row[2 * a + 1];
+                        if f != 0.0 {
+                            acc[a] += f * v;
+                        }
                     }
                 }
             }
-            *out = acc;
+            for (o, &r) in out.iter_mut().zip(&acc) {
+                o[jj] = r;
+            }
         }
-        drop(_disagg_span);
-        timings.disaggregation = t1.elapsed();
-        Ok((weights, timings))
     }
 
-    /// Applies the snapshot to many objective vectors concurrently (one
-    /// task per vector) on the process-global executor. See
-    /// [`PreparedCrosswalk::apply_batch_with`].
+    /// Applies the snapshot to many objective vectors on the
+    /// process-global executor. See [`PreparedCrosswalk::apply_batch_with`].
     pub fn apply_batch(
         &self,
         objectives: &[AggregateVector],
     ) -> Result<Vec<CrosswalkEstimate>, CoreError> {
-        self.apply_batch_with(objectives, geoalign_exec::Executor::global())
+        self.apply_batch_with(objectives, Executor::global())
     }
 
-    /// [`PreparedCrosswalk::apply_batch`] on an explicit executor. Each
-    /// vector runs [`PreparedCrosswalk::apply_values`] independently
-    /// through one [`ApplyScratch`] per worker thread (so a warm batch
-    /// stops re-allocating the apply working set); results come back in
-    /// input order, and the first failing vector (in input order) decides
-    /// the error — exactly like a sequential loop.
+    /// [`PreparedCrosswalk::apply_batch`] on an explicit executor. The
+    /// batch is cut into groups of up to four consecutive vectors, each
+    /// applied by one fused walk ([`PreparedCrosswalk::apply_values_into`]).
+    /// A single group runs on the caller, and only its walk fans out on
+    /// `exec`; several groups run one per `exec` task, with one
+    /// [`ApplyScratch`] per worker, and their walks run inline. Nothing
+    /// fans out per attribute. Results come back in input order, bit-equal
+    /// to [`PreparedCrosswalk::apply_values`] on each vector, and the first
+    /// failing vector (in input order) decides the error — exactly like a
+    /// sequential loop.
     pub fn apply_batch_with(
         &self,
         objectives: &[AggregateVector],
-        exec: geoalign_exec::Executor,
+        exec: Executor,
     ) -> Result<Vec<CrosswalkEstimate>, CoreError> {
-        let per_vector =
-            exec.run_tasks_with(objectives.len(), ApplyScratch::new, |scratch, i| {
-                self.apply_values_scratch(&objectives[i], scratch)
-            })?;
-        per_vector.into_iter().collect()
+        if objectives.len() <= GROUP {
+            return self.apply_any_group(objectives, &mut ApplyScratch::new(), exec);
+        }
+        let groups: Vec<&[AggregateVector]> = objectives.chunks(GROUP).collect();
+        let per_group = exec.run_tasks_with(groups.len(), ApplyScratch::new, |s, g| {
+            self.apply_any_group(groups[g], s, exec)
+        })?;
+        let mut out = Vec::with_capacity(objectives.len());
+        for group in per_group {
+            out.extend(group?);
+        }
+        Ok(out)
+    }
+
+    /// [`PreparedCrosswalk::apply_group`] at the group's own size, 0..=4
+    /// objectives (an empty group applies nothing).
+    fn apply_any_group(
+        &self,
+        objectives: &[AggregateVector],
+        s: &mut ApplyScratch,
+        exec: Executor,
+    ) -> Result<Vec<CrosswalkEstimate>, CoreError> {
+        Ok(match objectives.len() {
+            0 => Vec::new(),
+            1 => self.apply_group::<1>(objectives, s, exec)?.into(),
+            2 => self.apply_group::<2>(objectives, s, exec)?.into(),
+            3 => self.apply_group::<3>(objectives, s, exec)?.into(),
+            4 => self.apply_group::<4>(objectives, s, exec)?.into(),
+            n => unreachable!("a group holds at most {GROUP} objectives, not {n}"),
+        })
     }
 
     /// The per-query weight learning (Eq. 15) on the prepared Gram state.
@@ -566,6 +755,7 @@ impl PreparedCrosswalk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::align::{row_denominators, scale_adapted_weights};
     use geoalign_partition::DisaggregationMatrix;
 
     fn make_ref(name: &str, rows: &[&[f64]]) -> ReferenceData {
@@ -674,6 +864,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "row sums");
             }
         }
+        assert_eq!(bits(&a.row_sum_max), bits(&b.row_sum_max), "row sum maxima");
         assert_eq!(a.transposes, b.transposes, "transposes");
     }
 
@@ -740,40 +931,31 @@ mod tests {
 
     /// The row-major mixture `apply_values_into` ran before it became
     /// target-major, kept as the reference the kernel must match bit for
-    /// bit: per reference in order, per CSR row ascending, it scatters
-    /// `estimate[j] += f * v` into a zero-filled estimate.
+    /// bit: one attribute at a time, per reference in order, per CSR row
+    /// ascending, it scatters `estimate[j] += f * v` into a zero-filled
+    /// estimate, with `β'` from a fresh scan of the row sums.
     fn apply_values_row_major(
         p: &PreparedCrosswalk,
         objective_source: &AggregateVector,
     ) -> Result<(Vec<f64>, Vec<f64>), CoreError> {
-        let s = &mut ApplyScratch::new();
-        let weights = p.learn_weights_scratch(objective_source, s)?;
-        scale_adapted_weights_into(&weights, &p.row_sums_per_ref, &mut s.adapted);
-        row_denominators_into(
-            &p.row_sums_per_ref,
-            &s.adapted,
-            p.n_source,
-            &mut s.weighted,
-            &mut s.unweighted,
-        );
+        let weights = p.learn_weights(objective_source)?;
+        let adapted = scale_adapted_weights(&weights, &p.row_sums_per_ref);
+        let (weighted, unweighted) = row_denominators(&p.row_sums_per_ref, &adapted, p.n_source);
         let obj = objective_source.values();
-        s.rf_weighted.clear();
-        s.rf_weighted.resize(p.n_source, 0.0);
-        s.rf_fallback.clear();
-        s.rf_fallback.resize(p.n_source, 0.0);
-        #[allow(clippy::needless_range_loop)] // lockstep over four row slices
+        let mut rf_weighted = vec![0.0; p.n_source];
+        let mut rf_fallback = vec![0.0; p.n_source];
         for i in 0..p.n_source {
-            if s.weighted[i] > 0.0 {
-                s.rf_weighted[i] = obj[i] / s.weighted[i];
-            } else if s.unweighted[i] > 0.0 {
-                s.rf_fallback[i] = obj[i] / s.unweighted[i];
+            if weighted[i] > 0.0 {
+                rf_weighted[i] = obj[i] / weighted[i];
+            } else if unweighted[i] > 0.0 {
+                rf_fallback[i] = obj[i] / unweighted[i];
             }
         }
         let mut estimate = vec![0.0; p.n_target];
         for (k, r) in p.refs.iter().enumerate() {
-            let bk = s.adapted[k];
+            let bk = adapted[k];
             for (i, j, v) in r.dm().matrix().iter() {
-                let f = bk * s.rf_weighted[i] + s.rf_fallback[i];
+                let f = bk * rf_weighted[i] + rf_fallback[i];
                 if f != 0.0 {
                     estimate[j] += f * v;
                 }
@@ -835,6 +1017,22 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A generated objective: one magnitude for its values, one in ten a
+    /// zero.
+    fn generated_objective(rng: &mut Rng, name: &str, n_source: usize) -> AggregateVector {
+        let magnitude = rng.magnitude();
+        let values: Vec<f64> = (0..n_source)
+            .map(|_| {
+                if rng.chance(0.1) {
+                    0.0
+                } else {
+                    rng.value(magnitude)
+                }
+            })
+            .collect();
+        AggregateVector::new(name, values).unwrap()
     }
 
     /// One generated reference: each row over 1–3 neighbouring targets
@@ -904,17 +1102,22 @@ mod tests {
         };
         // How often each shape the kernel must get right was reached.
         let (mut unreached_targets, mut fallback_rows, mut empty_rows) = (0, 0, 0);
-        let (mut extreme_estimates, mut failed_solves) = (0, 0);
+        let (mut extreme_estimates, mut failed_solves, mut split_batches) = (0, 0, 0);
         for case in 0..300 {
             // Unnormalized design columns are squared into the Gram
             // matrix, so their large values stay below its overflow.
             let normalize = rng.chance(0.8);
             rng.large = if normalize { 1e300 } else { 1e150 };
-            let n_refs = 1 + rng.below(6);
-            let n_source = 1 + rng.below(200);
-            let n_target = 1 + rng.below(40);
+            let mut n_refs = 1 + rng.below(6);
+            let mut n_source = 1 + rng.below(200);
+            let mut n_target = 1 + rng.below(40);
+            let mut banded = rng.chance(0.5);
+            // Three cases large enough that every group's walk is split
+            // by target chunk: 4 banded references at 24000×1200.
+            if case % 100 == 0 {
+                (n_refs, n_source, n_target, banded) = (4, 24_000, 1_200, true);
+            }
             let shape = (n_source, n_target);
-            let banded = rng.chance(0.5);
             let dead: Vec<bool> = (0..n_target).map(|_| rng.chance(0.15)).collect();
             let empty: Vec<bool> = (0..n_source).map(|_| rng.chance(0.1)).collect();
             // A decoy: the last reference has no source mass, so weight
@@ -936,17 +1139,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let magnitude = rng.magnitude();
-            let values: Vec<f64> = (0..n_source)
-                .map(|_| {
-                    if rng.chance(0.1) {
-                        0.0
-                    } else {
-                        rng.value(magnitude)
-                    }
-                })
-                .collect();
-            let obj = AggregateVector::new("obj", values).unwrap();
+            let obj = generated_objective(&mut rng, "obj", n_source);
             let config = GeoAlignConfig {
                 solver: if rng.chance(0.2) {
                     simplex_ls::SimplexSolver::ProjectedGradient
@@ -984,6 +1177,37 @@ mod tests {
             } else {
                 failed_solves += 1;
             }
+
+            // The objective inside a batch of 1–9: grouped by four, one
+            // fused walk per group, split by target chunk when large.
+            let batch_len = 1 + rng.below(9);
+            let at = rng.below(batch_len);
+            let batch: Vec<AggregateVector> = (0..batch_len)
+                .map(|b| {
+                    if b == at {
+                        obj.clone()
+                    } else {
+                        generated_objective(&mut rng, &format!("obj{b}"), n_source)
+                    }
+                })
+                .collect();
+            let want: Result<Vec<_>, CoreError> = batch
+                .iter()
+                .map(|o| apply_values_row_major(&fresh, o).map(|(e, w)| (bits(&e), bits(&w))))
+                .collect();
+            for exec in [Executor::sequential(), Executor::new(2), Executor::new(8)] {
+                let got = fresh.apply_batch_with(&batch, exec).map(|applied| {
+                    let bits = |c: &CrosswalkEstimate| (bits(&c.estimate), bits(&c.weights));
+                    applied.iter().map(bits).collect::<Vec<_>>()
+                });
+                let threads = exec.threads();
+                assert_eq!(
+                    got, want,
+                    "case {case}: batch of {batch_len}, {threads} threads"
+                );
+            }
+            let entries: usize = fresh.transposes.iter().map(|t| t.nnz()).sum();
+            split_batches += usize::from(entries * batch_len.min(GROUP) >= SPLIT_MIN_WORK);
 
             // The delta path: replace one reference, and append the last.
             let index = rng.below(n_refs);
@@ -1042,6 +1266,10 @@ mod tests {
             "subnormal or large estimates: {extreme_estimates}"
         );
         assert_eq!(failed_solves, 0, "failed solves");
+        assert!(
+            split_batches >= 3,
+            "batches with split walks: {split_batches}"
+        );
     }
 
     #[test]

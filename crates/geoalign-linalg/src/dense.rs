@@ -136,7 +136,11 @@ impl DMatrix {
     }
 
     /// [`DMatrix::tr_matvec`] into a caller-provided output slice of
-    /// length `ncols` — the allocation-free form for hot loops.
+    /// length `ncols` — the allocation-free form for hot loops. Columns
+    /// are summed four at a time through `dot4` (four independent chains
+    /// over one read of `y`) and the remainder through [`dot`]; every
+    /// entry is bit-equal to `dot(column(j), y)`, since each `dot4` lane
+    /// is and `x * y == y * x` in IEEE arithmetic.
     pub fn tr_matvec_into(&self, y: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
         if y.len() != self.rows {
             return Err(LinalgError::ShapeMismatch {
@@ -152,8 +156,20 @@ impl DMatrix {
                 right: (out.len(), 1),
             });
         }
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = dot(self.column(j), y);
+        let mut blocks = out.chunks_exact_mut(GRAM_BLOCK);
+        for (b, block) in (&mut blocks).enumerate() {
+            let j = b * GRAM_BLOCK;
+            block.copy_from_slice(&dot4(
+                y,
+                self.column(j),
+                self.column(j + 1),
+                self.column(j + 2),
+                self.column(j + 3),
+            ));
+        }
+        let done = self.cols - self.cols % GRAM_BLOCK;
+        for (j, o) in blocks.into_remainder().iter_mut().enumerate() {
+            *o = dot(self.column(done + j), y);
         }
         Ok(())
     }
@@ -262,8 +278,8 @@ impl DMatrix {
     }
 }
 
-/// Column-block width of the tiled Gram kernel: entries are produced
-/// four at a time from one pass over column `i`.
+/// Column-block width of the tiled kernels (Gram, `Aᵀy`): entries are
+/// produced four at a time from one pass over the shared vector.
 const GRAM_BLOCK: usize = 4;
 
 /// Four dot products against a common left vector in one pass. Each

@@ -236,6 +236,41 @@ proptest! {
     }
 }
 
+/// One entry of the `tr_matvec_into` cases: mostly ordinary, sometimes
+/// `-0.0`, subnormal or large (products stay finite).
+fn spiky(state: &mut u64) -> f64 {
+    match (lcg(state) * 8.0) as usize {
+        0 => -0.0,
+        1 => f64::from_bits(1 + (lcg(state) * (1u64 << 52) as f64) as u64),
+        2 => (lcg(state) * 2.0 - 1.0) * 1e150,
+        _ => lcg(state) * 2.0 - 1.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `tr_matvec_into`, four columns per pass, == one `dot` per column,
+    /// bitwise, over 1–9 columns and 0–300 rows.
+    #[test]
+    fn tr_matvec_matches_per_column_dot_bitwise(
+        rows in 0usize..301,
+        cols in 1usize..10,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut state = seed;
+        let columns: Vec<Vec<f64>> = (0..cols)
+            .map(|_| (0..rows).map(|_| spiky(&mut state)).collect())
+            .collect();
+        let a = DMatrix::from_columns(&columns).unwrap();
+        let y: Vec<f64> = (0..rows).map(|_| spiky(&mut state)).collect();
+        let want: Vec<f64> = (0..cols).map(|j| dot(a.column(j), &y)).collect();
+        let mut got = vec![f64::NAN; cols];
+        a.tr_matvec_into(&y, &mut got).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+}
+
 /// The scratch-arena FISTA is bit-identical to the historical allocating
 /// loop on a spread of random problems — same iterates, same restart
 /// decisions, same iteration counts.

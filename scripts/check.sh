@@ -173,26 +173,33 @@ fi
 
 echo "==> apply sums each target in a register: no row-major scatter in the mixture"
 # The serving mixture walks each reference's transpose and sums one
-# target's estimate in a register (DESIGN.md §15). A walk over a
-# matrix's row-major entries (.matrix().iter()) or an `estimate[…] +=`
-# scatter in apply_values_into brings back the chain of dependent adds
-# to shared targets. Function-scoped like the gates above; the test
-# module, which keeps the row-major scatter as its reference, is skipped.
+# target's estimates in registers, one per attribute of the group
+# (DESIGN.md §15). A walk over a matrix's row-major entries
+# (.matrix().iter()) or an `estimate[…] +=` scatter in the apply core,
+# its factor pass or its walk brings back the chain of dependent adds to
+# shared targets. Function-scoped like the gates above; the test module,
+# which keeps the row-major scatter as its reference, is skipped.
 limit=$({ grep -nE '^(mod tests|#\[cfg\(test\)\])' crates/geoalign-core/src/prepare.rs || true; } \
     | head -1 | cut -d: -f1)
 [ -z "$limit" ] && limit=0
-scatter_hits=$(awk -v fname=apply_values_into -v limit="$limit" -v file=crates/geoalign-core/src/prepare.rs '
-    (limit == 0 || NR < limit) && in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
-    in_fn {
-        if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /\.matrix\(\)\.iter\(\)|estimate\[[^]]*\][[:space:]]*\+=/)
-            print file ":" NR ": " $0
-        n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
-        depth += n - m
-        if (depth > 0) opened = 1
-        if (opened && depth <= 0) in_fn = 0
-    }
-    END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
-' crates/geoalign-core/src/prepare.rs)
+scatter_hits=""
+for fn in apply_values_into write_factors walk walk_targets; do
+    found=$(awk -v fname="$fn" -v limit="$limit" -v file=crates/geoalign-core/src/prepare.rs '
+        (limit == 0 || NR < limit) && in_fn == 0 && $0 ~ ("fn " fname "[(<]") { in_fn = 1; seen = 1 }
+        in_fn {
+            if ($0 !~ /^[[:space:]]*\/\// && $0 ~ /\.matrix\(\)\.iter\(\)|estimate\[[^]]*\][[:space:]]*\+=/)
+                print file ":" NR ": " $0
+            n = gsub(/\{/, "{"); m = gsub(/\}/, "}")
+            depth += n - m
+            if (depth > 0) opened = 1
+            if (opened && depth <= 0) in_fn = 0
+        }
+        END { if (!seen) print file ": gated fn " fname " not found (update check.sh)" }
+    ' crates/geoalign-core/src/prepare.rs)
+    if [ -n "$found" ]; then
+        scatter_hits="${scatter_hits}${found}"$'\n'
+    fi
+done
 if [ -n "$scatter_hits" ]; then
     echo "error: row-major scatter in the serving mixture — sum each target over the" >&2
     echo "references' transposes (PreparedCrosswalk::transposes):" >&2
@@ -379,7 +386,7 @@ crates/geoalign-linalg/src/dense.rs gram_with matvec_into tr_matvec_into househo
 crates/geoalign-linalg/src/sparse.rs matvec_into
 crates/geoalign-linalg/src/simplex_ls.rs fista_iterate active_set_iterate eq_constrained_ls_scratch project_to_simplex_into
 crates/geoalign-linalg/src/nnls.rs nnls_iterate
-crates/geoalign-core/src/prepare.rs apply_values_into
+crates/geoalign-core/src/prepare.rs apply_values_into write_factors walk_targets
 crates/geoalign-serve/src/json.rs write_number
 crates/geoalign-serve/src/json/shortest.rs write_shortest d2d write_digits push_zeros
 EOF
