@@ -716,7 +716,7 @@ pub fn solve_gram(
 }
 
 /// [`solve_gram`] through a reusable [`SolverScratch`] — the entry point
-/// batch-apply paths call once per objective with a per-worker arena.
+/// batch-apply paths call once per objective with a reused arena.
 /// Results are bit-identical to [`solve_gram`] (which routes through
 /// here with a fresh arena).
 pub fn solve_gram_scratch(

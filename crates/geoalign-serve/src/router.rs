@@ -580,8 +580,9 @@ fn post_crosswalk(state: &AppState, req: &Request) -> Result<Response, HttpError
     out.push_str(if cache_hit { "true" } else { "false" });
 
     // Validate the whole batch up front, then hand it to the prepared
-    // crosswalk in one `apply_batch` call so the executor can spread the
-    // attributes over the process thread budget.
+    // crosswalk in one `apply_batch` call, which walks the references
+    // once for up to four attributes and spreads the walk over the
+    // process thread budget.
     let mut names = Vec::with_capacity(attributes.len());
     let mut vectors = Vec::with_capacity(attributes.len());
     for attr in attributes.iter_mut() {
@@ -1260,8 +1261,9 @@ mod tests {
             };
 
             // Validate the whole batch up front, then hand it to the prepared
-            // crosswalk in one `apply_batch` call so the executor can spread the
-            // attributes over the process thread budget.
+            // crosswalk in one `apply_batch` call, which walks the references
+            // once for up to four attributes and spreads the walk over the
+            // process thread budget.
             let mut names = Vec::with_capacity(attributes.len());
             let mut vectors = Vec::with_capacity(attributes.len());
             for attr in attributes {
